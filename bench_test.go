@@ -373,7 +373,7 @@ func BenchmarkQASSA_LocalPhaseWorkers(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				localNS += int64(res.Stats.LocalDuration)
+				localNS += int64(res.Stats.Observed.LocalDuration)
 			}
 			b.ReportMetric(float64(localNS)/float64(b.N), "local-ns/op")
 		})
@@ -407,60 +407,48 @@ func BenchmarkQASSA_Telemetry(b *testing.B) {
 	}
 }
 
-// BenchmarkRegistryCandidates compares the capability-indexed candidate
-// lookup against the full-scan path on a 5000-service registry spread
-// over 50 capabilities (100 matching descriptions per lookup).
+// BenchmarkRegistryCandidates measures the capability-indexed candidate
+// lookup on a 5000-service registry spread over 50 capabilities (100
+// matching descriptions per lookup).
 func BenchmarkRegistryCandidates(b *testing.B) {
 	const services = 5000
 	const capabilities = 50
 	ps := qos.StandardSet()
-	build := func(indexing bool) (*registry.Registry, []semantics.ConceptID) {
-		onto := semantics.PervasiveWithScenarios()
-		caps := make([]semantics.ConceptID, capabilities)
-		for i := range caps {
-			caps[i] = semantics.ConceptID(fmt.Sprintf("BenchCap%02d", i))
-			if err := onto.AddConcept(caps[i], semantics.BookSale); err != nil {
-				b.Fatal(err)
-			}
+	onto := semantics.PervasiveWithScenarios()
+	caps := make([]semantics.ConceptID, capabilities)
+	for i := range caps {
+		caps[i] = semantics.ConceptID(fmt.Sprintf("BenchCap%02d", i))
+		if err := onto.AddConcept(caps[i], semantics.BookSale); err != nil {
+			b.Fatal(err)
 		}
-		r := registry.New(onto)
-		r.SetIndexing(indexing)
-		for i := 0; i < services; i++ {
-			d := registry.Description{
-				ID:      registry.ServiceID(fmt.Sprintf("s%04d", i)),
-				Concept: caps[i%capabilities],
-				Offers: []registry.QoSOffer{
-					{Property: semantics.ResponseTime, Value: 40 + float64(i%100)},
-					{Property: semantics.Price, Value: 5},
-					{Property: semantics.Availability, Value: 0.95},
-					{Property: semantics.Reliability, Value: 0.9},
-					{Property: semantics.Throughput, Value: 40},
-				},
-			}
-			if err := r.Publish(d); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return r, caps
 	}
-	for _, mode := range []struct {
-		name     string
-		indexing bool
-	}{{"indexed", true}, {"scan", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			r, caps := build(mode.indexing)
-			if got := r.Candidates(caps[0], ps); len(got) != services/capabilities {
-				b.Fatalf("warm-up lookup returned %d candidates", len(got))
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				got := r.Candidates(caps[i%capabilities], ps)
-				if len(got) != services/capabilities {
-					b.Fatalf("lookup returned %d candidates", len(got))
-				}
-			}
-		})
+	r := registry.New(onto)
+	for i := 0; i < services; i++ {
+		d := registry.Description{
+			ID:      registry.ServiceID(fmt.Sprintf("s%04d", i)),
+			Concept: caps[i%capabilities],
+			Offers: []registry.QoSOffer{
+				{Property: semantics.ResponseTime, Value: 40 + float64(i%100)},
+				{Property: semantics.Price, Value: 5},
+				{Property: semantics.Availability, Value: 0.95},
+				{Property: semantics.Reliability, Value: 0.9},
+				{Property: semantics.Throughput, Value: 40},
+			},
+		}
+		if err := r.Publish(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if got := r.Candidates(caps[0], ps); len(got) != services/capabilities {
+		b.Fatalf("warm-up lookup returned %d candidates", len(got))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got := r.Candidates(caps[i%capabilities], ps)
+		if len(got) != services/capabilities {
+			b.Fatalf("lookup returned %d candidates", len(got))
+		}
 	}
 }
 

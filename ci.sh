@@ -6,7 +6,7 @@
 #                    # telemetry packages only (skips the slow full pass)
 #
 # The -race pass matters here: the composition pipeline is concurrent
-# (parallel QASSA local phase, indexed registry under RWMutex, memoized
+# (parallel QASSA local phase, lock-free indexed registry reads, memoized
 # ontology reasoning, lock-free metrics/span instrumentation) and the
 # test suite includes churn/cancellation/scrape tests written to catch
 # data races.
@@ -30,6 +30,15 @@ go build ./...
 
 echo "== go test ./..."
 go test ./...
+
+# The differential suites compare decisions bit for bit and must not
+# depend on scheduling: run them on one core and on every core, several
+# times, so an assertion on a scheduler-dependent observation fails on
+# the first multi-core pass instead of by luck.
+for procs in 1 "$(nproc)"; do
+	echo "== GOMAXPROCS=$procs go test -count=3 -run TestDifferential . ./internal/core ./internal/baseline ./internal/registry"
+	GOMAXPROCS=$procs go test -count=3 -run 'TestDifferential' . ./internal/core ./internal/baseline ./internal/registry
+done
 
 if [ "${1:-}" = "quick" ]; then
 	# Quick still races the telemetry layer: its lock-free counters,
@@ -56,12 +65,13 @@ if [ "${1:-}" = "quick" ]; then
 	echo "== go test -race failover suite (quick)"
 	go test -race ./internal/subidx
 	go test -race -run 'TestDifferential|TestIndex|TestConcurrent|TestExecutor|TestStaged|TestResult' ./internal/adapt
-	# The multicore hot-path suite: raced RCU snapshot reads in the
-	# registry (torn-publish check), raced per-segment eviction + epoch
+	# The multicore hot-path suite: raced lock-free reads in the registry
+	# (torn-publish check, fresh-key visibility, rejection of slices
+	# published across an index rebuild), raced per-segment eviction + epoch
 	# invalidation in the sharded plan cache, and the mutex-profile
 	# assertion that the warm read paths acquire zero locks.
 	echo "== go test -race hot-path suite (quick)"
-	go test -race -run 'TestRacedSnapshotReads' ./internal/registry
+	go test -race -run 'TestRacedSnapshotReads|TestRacedFreshKeyVisibility|TestRebuildInvalidatesStalePublications' ./internal/registry
 	go test -race -run 'TestPlanCacheShardedRaced|TestHotPathsAcquireNoMutexes' .
 	# The distributed failure matrix exercises the resilience layer's
 	# concurrency (hedged requests, breaker state, prompt cancellation);

@@ -61,9 +61,6 @@ type Composition struct {
 // of Execute so a ranked replacement list is warm before the first
 // invocation.
 func (c *Composition) track() {
-	if c.mw.subst == nil {
-		return
-	}
 	c.trackOnce.Do(func() {
 		manager, runtime := c.manager, c.runtime
 		idx := c.mw.subst.Track(runtime)
@@ -248,11 +245,11 @@ func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestR
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.CandidateLookup = lookupDur
-	res.Stats.MatchCacheHits = cacheDelta.MatchHits
-	res.Stats.MatchCacheMisses = cacheDelta.MatchMisses
-	m.met.phaseSeconds.With("local").ObserveDuration(res.Stats.LocalDuration)
-	m.met.phaseSeconds.With("global").ObserveDuration(res.Stats.GlobalDuration)
+	res.Stats.Observed.CandidateLookup = lookupDur
+	res.Stats.Observed.MatchCacheHits = cacheDelta.MatchHits
+	res.Stats.Observed.MatchCacheMisses = cacheDelta.MatchMisses
+	m.met.phaseSeconds.With("local").ObserveDuration(res.Stats.Observed.LocalDuration)
+	m.met.phaseSeconds.With("global").ObserveDuration(res.Stats.Observed.GlobalDuration)
 	rec.Phases.Lookup = lookupDur
 	fillSelectionRecord(rec, res)
 	if m.opts.ParetoMode {
@@ -269,8 +266,8 @@ func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestR
 // record: phase timings, resilience/degradation counters and the final
 // bindings with their per-activity utility contributions.
 func fillSelectionRecord(rec *obs.RequestRecord, res *core.Result) {
-	rec.Phases.Local = res.Stats.LocalDuration
-	rec.Phases.Global = res.Stats.GlobalDuration
+	rec.Phases.Local = res.Stats.Observed.LocalDuration
+	rec.Phases.Global = res.Stats.Observed.GlobalDuration
 	rec.Degraded = res.Degraded
 	rec.DegradedCauses = res.Stats.DegradedCauses
 	rec.Retries = res.Stats.Retries
@@ -364,18 +361,18 @@ func (c *Composition) SelectionStats() SelectionStats {
 	// View instead of Result: this accessor sits on the serving hot path
 	// and must not pay for a deep copy of the selection.
 	c.runtime.View(func(res *core.Result) {
-		s := res.Stats
+		s, ob := res.Stats, res.Stats.Observed
 		out = SelectionStats{
-			CandidateLookup:  s.CandidateLookup,
-			LocalPhase:       s.LocalDuration,
-			GlobalPhase:      s.GlobalDuration,
+			CandidateLookup:  ob.CandidateLookup,
+			LocalPhase:       ob.LocalDuration,
+			GlobalPhase:      ob.GlobalDuration,
 			Workers:          s.Workers,
-			PeakWorkersBusy:  s.PeakWorkersBusy,
+			PeakWorkersBusy:  ob.PeakWorkersBusy,
 			LevelsExplored:   s.LevelsExplored,
 			Evaluations:      s.Evaluations,
 			RepairSwaps:      s.RepairSwaps,
-			MatchCacheHits:   s.MatchCacheHits,
-			MatchCacheMisses: s.MatchCacheMisses,
+			MatchCacheHits:   ob.MatchCacheHits,
+			MatchCacheMisses: ob.MatchCacheMisses,
 			Retries:          s.Retries,
 			Hedges:           s.Hedges,
 			BreakerSkips:     s.BreakerSkips,

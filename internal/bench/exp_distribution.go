@@ -46,7 +46,7 @@ func expVI12() *Experiment {
 				if err != nil {
 					return nil, err
 				}
-				t.AddRow(services, last.Stats.LocalDuration, last.Stats.GlobalDuration, last.Feasible)
+				t.AddRow(services, last.Stats.Observed.LocalDuration, last.Stats.Observed.GlobalDuration, last.Feasible)
 			}
 			t.AddNote("local_ms includes the simulated 2ms wireless round trip; devices run in parallel")
 			return t, nil
@@ -98,7 +98,7 @@ func expVI12TCP() *Experiment {
 				if err != nil {
 					return nil, err
 				}
-				t.AddRow(services, last.Stats.LocalDuration, last.Stats.GlobalDuration, last.Feasible)
+				t.AddRow(services, last.Stats.Observed.LocalDuration, last.Stats.Observed.GlobalDuration, last.Feasible)
 			}
 			return t, nil
 		},

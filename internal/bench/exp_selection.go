@@ -121,7 +121,7 @@ func expVI5a() *Experiment {
 				if err != nil {
 					return nil, err
 				}
-				t.AddRow(services, last.Stats.LocalDuration, last.Stats.GlobalDuration,
+				t.AddRow(services, last.Stats.Observed.LocalDuration, last.Stats.Observed.GlobalDuration,
 					total, last.Feasible)
 			}
 			return t, nil

@@ -97,7 +97,7 @@ func TestLocalPhaseReportsOccupancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.PeakWorkersBusy < 1 || res.Stats.PeakWorkersBusy > 2 {
-		t.Errorf("PeakWorkersBusy = %d, want within [1,2]", res.Stats.PeakWorkersBusy)
+	if peak := res.Stats.Observed.PeakWorkersBusy; peak < 1 || peak > 2 {
+		t.Errorf("PeakWorkersBusy = %d, want within [1,2]", peak)
 	}
 }

@@ -400,7 +400,7 @@ func (d *DistributedSelector) Select(ctx context.Context, req *Request) (*Result
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.LocalDuration = localDur
+	res.Stats.Observed.LocalDuration = localDur
 	res.Stats.Retries = rst.Retries
 	res.Stats.Hedges = rst.Hedges
 	res.Stats.BreakerSkips = rst.BreakerSkips
@@ -421,7 +421,7 @@ func (d *DistributedSelector) Select(ctx context.Context, req *Request) (*Result
 			Task:           fmt.Sprintf("%016x", req.Task.Fingerprint()),
 			Start:          startLocal,
 			Duration:       time.Since(startLocal),
-			Phases:         obs.PhaseTimings{Local: localDur, Global: res.Stats.GlobalDuration},
+			Phases:         obs.PhaseTimings{Local: localDur, Global: res.Stats.Observed.GlobalDuration},
 			Degraded:       res.Degraded,
 			DegradedCauses: res.Stats.DegradedCauses,
 			Retries:        rst.Retries,

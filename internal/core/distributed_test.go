@@ -105,8 +105,8 @@ func TestDistributedParallelLatency(t *testing.T) {
 	if elapsed > 110*time.Millisecond {
 		t.Errorf("local phases did not run in parallel: %v", elapsed)
 	}
-	if res.Stats.LocalDuration < 40*time.Millisecond {
-		t.Errorf("local duration %v should include device latency", res.Stats.LocalDuration)
+	if res.Stats.Observed.LocalDuration < 40*time.Millisecond {
+		t.Errorf("local duration %v should include device latency", res.Stats.Observed.LocalDuration)
 	}
 }
 

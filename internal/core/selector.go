@@ -107,7 +107,10 @@ func (o Options) withDefaults(activities int) Options {
 	return o
 }
 
-// Stats reports the work QASSA performed.
+// Stats reports the work QASSA performed. Every field outside Observed
+// is a function of the request, the candidates and the selector options
+// alone: both evaluation kernels and every worker count produce the same
+// values.
 type Stats struct {
 	// LevelsExplored counts global-phase level iterations.
 	LevelsExplored int
@@ -115,22 +118,8 @@ type Stats struct {
 	Evaluations int
 	// RepairSwaps counts applied violation-repair swaps.
 	RepairSwaps int
-	// LocalDuration and GlobalDuration split the wall time per phase.
-	LocalDuration  time.Duration
-	GlobalDuration time.Duration
-	// CandidateLookup is the time the embedding layer spent resolving
-	// candidate services from the registry before selection started (the
-	// qasom façade fills it in; zero for direct core calls).
-	CandidateLookup time.Duration
-	// Workers is the local-phase worker pool size in force and
-	// PeakWorkersBusy the highest observed concurrent occupancy — together
-	// they attribute local-phase speedups to actual parallelism.
-	Workers         int
-	PeakWorkersBusy int
-	// MatchCacheHits and MatchCacheMisses snapshot the ontology's
-	// match-memo effectiveness over the candidate-lookup phase (filled in
-	// by the embedding layer alongside CandidateLookup).
-	MatchCacheHits, MatchCacheMisses uint64
+	// Workers is the local-phase worker pool size in force.
+	Workers int
 	// Resilience counters of a distributed selection (zero for
 	// centralized runs): exchanges retried after transient failures,
 	// hedged second requests fired, replicas skipped on an open breaker,
@@ -141,12 +130,36 @@ type Stats struct {
 	DegradedCauses map[string]string
 	// CacheHit marks a Result served from a selection-plan cache: the
 	// assignment is bit-identical to a fresh selection at the same
-	// registry epoch, but the durations and work counters above describe
-	// the original run that populated the cache, not this request.
+	// registry epoch, but the work counters and Observed describe the
+	// original run that populated the cache, not this request.
 	CacheHit bool
 	// FrontSize is the number of non-dominated members the Pareto-front
 	// mode returned (0 in scalar mode).
 	FrontSize int
+	// Observed holds what the run measured about its host.
+	Observed Observed
+}
+
+// Observed holds a selection's measurements of the host it ran on. They
+// depend on the clock, the scheduler and concurrent callers, not on the
+// selection's inputs, so differential tests exclude them while comparing
+// every other Stats field bit for bit.
+type Observed struct {
+	// LocalDuration and GlobalDuration split the wall time per phase.
+	LocalDuration  time.Duration
+	GlobalDuration time.Duration
+	// CandidateLookup is the time the embedding layer spent resolving
+	// candidate services from the registry before selection started (the
+	// qasom façade fills it in; zero for direct core calls).
+	CandidateLookup time.Duration
+	// PeakWorkersBusy is the highest observed concurrent occupancy of the
+	// local-phase worker pool; with Stats.Workers it attributes
+	// local-phase speedups to actual parallelism.
+	PeakWorkersBusy int
+	// MatchCacheHits and MatchCacheMisses snapshot the ontology's
+	// match-memo effectiveness over the candidate-lookup phase (filled in
+	// by the embedding layer alongside CandidateLookup).
+	MatchCacheHits, MatchCacheMisses uint64
 }
 
 // Result is the outcome of a selection run.
@@ -323,9 +336,9 @@ func (s *Selector) SelectContext(ctx context.Context, req *Request, candidates m
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.LocalDuration = localDur
+	res.Stats.Observed.LocalDuration = localDur
 	res.Stats.Workers = opts.Workers
-	res.Stats.PeakWorkersBusy = peak
+	res.Stats.Observed.PeakWorkersBusy = peak
 	return res, nil
 }
 
@@ -457,6 +470,6 @@ func (s *Selector) selectGlobal(ctx context.Context, req *Request, eval *Evaluat
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.GlobalDuration = time.Since(start)
+	res.Stats.Observed.GlobalDuration = time.Since(start)
 	return res, nil
 }

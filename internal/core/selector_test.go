@@ -104,7 +104,7 @@ func TestSelectFeasible(t *testing.T) {
 	if res.Stats.LevelsExplored < 1 || res.Stats.Evaluations == 0 {
 		t.Errorf("stats not recorded: %+v", res.Stats)
 	}
-	if res.Stats.LocalDuration <= 0 || res.Stats.GlobalDuration <= 0 {
+	if res.Stats.Observed.LocalDuration <= 0 || res.Stats.Observed.GlobalDuration <= 0 {
 		t.Errorf("durations not recorded: %+v", res.Stats)
 	}
 }

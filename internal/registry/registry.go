@@ -174,16 +174,12 @@ type Event struct {
 	Service Description
 }
 
-// Metrics reports how the registry served capability lookups: how many
-// went through the concept index versus a full scan, and how often the
-// index had to be rebuilt because the shared ontology mutated.
+// Metrics reports how often the capability index had to be rebuilt
+// because the shared ontology mutated.
 type Metrics struct {
-	// IndexedLookups counts Candidates calls answered from the
-	// capability index.
-	IndexedLookups uint64
-	// ScanLookups counts Candidates calls that walked every description.
-	ScanLookups uint64
-	// IndexRebuilds counts full index (re)builds (initial build included).
+	// IndexRebuilds counts whole-store index rebuilds; the index is
+	// maintained incrementally otherwise, so this stays 0 until the
+	// ontology version moves.
 	IndexRebuilds uint64
 	// Shards is the number of lock domains of the backing store.
 	Shards int
@@ -225,20 +221,13 @@ func (r *Registry) Epoch() uint64 { return r.store.Epoch() }
 // attached — together, the exact staleness signal for anything derived
 // from a Candidates lookup on those concepts. A never-published
 // capability reports epoch 0; the first publish moves it. The snapshot
-// takes only the shard locks the concepts hash to — each touched shard's
-// read lock exactly once — never a store-global lock. Pass a reused
-// slice to avoid allocation.
+// takes no lock: one atomic load per concept. Pass a reused slice to
+// avoid allocation.
 func (r *Registry) CapabilityEpochs(dst []uint64, concepts ...semantics.ConceptID) []uint64 {
 	return r.store.capabilityEpochs(r.tenant, dst, concepts...)
 }
 
-// SetIndexing enables or disables the capability index store-wide
-// (enabled by default); disabling drops the index and reverts Candidates
-// to the full-scan path. It exists as an ablation/benchmark knob and as
-// a safety valve.
-func (r *Registry) SetIndexing(enabled bool) { r.store.SetIndexing(enabled) }
-
-// Metrics returns a snapshot of the store-wide lookup counters.
+// Metrics returns a snapshot of the store-wide index counters.
 func (r *Registry) Metrics() Metrics { return r.store.Metrics() }
 
 // Ontology returns the registry's shared ontology (may be nil).
@@ -280,9 +269,8 @@ func (r *Registry) All() []Description {
 // offers cannot cover ps are skipped. Results are sorted by match level
 // then ID.
 //
-// With indexing enabled (the default) the lookup reads exactly one index
-// entry in the shard the required concept hashes to; the full scan
-// remains as the fallback path.
+// The lookup reads exactly one index entry, in the shard the required
+// concept hashes to.
 func (r *Registry) Candidates(required semantics.ConceptID, ps *qos.PropertySet) []Candidate {
 	return r.store.candidates(r.tenant, required, ps)
 }

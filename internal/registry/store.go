@@ -33,17 +33,17 @@ import (
 // a lookup still certifies "no candidate this lookup could see has
 // changed".
 //
-// Read path (RCU): each shard publishes an immutable capKey→capState
-// directory through an atomic.Pointer, and each capState carries an
-// atomic epoch plus an epoch-tagged published candidate slice. Steady-
-// state Candidates and CapabilityEpochs therefore acquire no locks at
-// all — a reader loads the view, loads the published slice, and checks
+// Read path: each shard keeps a capKey→capState sync.Map whose entries
+// are created under the shard write lock and never deleted, and each
+// capState carries an atomic epoch plus an epoch-tagged published
+// candidate slice. Steady-state Candidates and CapabilityEpochs
+// therefore acquire no locks at all — a reader loads the key's state
+// (sync.Map.Load is lock-free), loads the published slice, and checks
 // its epoch tag against the live epoch (writers bump the epoch and nil
 // the slice before touching the index, so a tag match proves the slice
 // is current). Only the first lookup after a mutation takes a shard
 // read lock, to rebuild the published slice from the writer-truth index
-// maps. Writers copy-on-write the view in amortized batches so bulk
-// loads stay O(1) per publish.
+// maps, which every Publish/Withdraw maintains from NewStore on.
 //
 // Mutations of one service (same tenant + ID) are serialized on a
 // striped mutex so a Publish/Withdraw race on the same ID cannot
@@ -121,8 +121,8 @@ type storedService struct {
 
 // capState is the lock-free read-path state of one capability key: the
 // generation counter readers snapshot, and the epoch-tagged candidate
-// slice they resolve against. The struct is shared by reference between
-// successive views, so a key's epoch survives view swaps and rebuilds.
+// slice they resolve against. A key's capState is never replaced, so its
+// epoch survives index changes and rebuilds.
 type capState struct {
 	epoch atomic.Uint64
 	// pub is the published candidate slice, tagged with the epoch it was
@@ -145,26 +145,20 @@ type capPublished struct {
 	list  []*storedService
 }
 
-// capView is the immutable capKey→capState directory a shard's readers
-// navigate without locks. Swapped wholesale through shard.view.
-type capView map[capKey]*capState
-
 // shard is one lock domain of the store.
 type shard struct {
-	// view is the RCU side of the shard: an immutable directory of
-	// capability states, atomically swapped by writers. Never nil after
-	// NewStore. First field: it is the hottest word of the struct.
-	view atomic.Pointer[capView]
-	// extraN mirrors len(extra) so lock-free readers can skip the
-	// extra-map fallback (and its read lock) when nothing is pending.
-	extraN atomic.Int32
+	// caps maps each capKey (routed to this shard) to its *capState: the
+	// lock-free side of the shard. Entries are stored only under the
+	// write lock and never deleted, so a Load that finds nothing proves
+	// the key was never filed or bumped before the call. First field: it
+	// is the hottest word of the struct.
+	caps sync.Map
 	// pubGen is the shard's index incarnation: bumped under the shard
-	// write lock whenever index contents change without per-key epoch
-	// bumps — the whole-store rebuild and the ablation index drop.
-	// Published slices carry the incarnation they were built from, so a
-	// republisher delayed across a rebuild can never install a
-	// pre-rebuild candidate list that the (deliberately unmoved) epoch
-	// tag would otherwise accept forever.
+	// write lock by the whole-store rebuild, which changes index
+	// contents without per-key epoch bumps. Published slices carry the
+	// incarnation they were built from, so a republisher delayed across
+	// a rebuild can never install a pre-rebuild candidate list that the
+	// (deliberately unmoved) epoch tag would otherwise accept forever.
 	pubGen atomic.Uint64
 
 	mu sync.RWMutex
@@ -176,78 +170,30 @@ type shard struct {
 	// shards. Writer truth; readers consume it only through capState.pub
 	// or under mu.
 	index map[capKey]map[ServiceID]*storedService
-	// extra holds capStates created since the last view swap, guarded by
-	// mu. Folding them into the view in batches keeps bulk loads O(1)
-	// amortized per publish instead of O(view) each.
-	extra map[capKey]*capState
 
 	// _ pads the shard past a cache line so adjacent shards' hot fields
-	// (view pointer, lock word) never false-share.
+	// (capability map, lock word) never false-share.
 	_ [64]byte
 }
 
-// capStateLocked returns the shard's state for ck, creating it in extra
-// when absent. Callers hold the shard's write lock. The second result
-// reports whether the state is newly created.
-func (sh *shard) capStateLocked(ck capKey) (*capState, bool) {
-	if st, ok := (*sh.view.Load())[ck]; ok {
-		return st, false
-	}
-	if st, ok := sh.extra[ck]; ok {
-		return st, false
-	}
-	st := &capState{}
-	sh.extra[ck] = st
-	sh.extraN.Store(int32(len(sh.extra)))
-	return st, true
-}
-
-// mergeExtraLocked folds extra into a freshly copied view and publishes
-// it. Callers hold the shard's write lock.
-func (sh *shard) mergeExtraLocked() {
-	if len(sh.extra) == 0 {
-		return
-	}
-	old := *sh.view.Load()
-	next := make(capView, len(old)+len(sh.extra))
-	for k, v := range old {
-		next[k] = v
-	}
-	for k, v := range sh.extra {
-		next[k] = v
-	}
-	sh.view.Store(&next)
-	sh.extra = make(map[capKey]*capState)
-	sh.extraN.Store(0)
-}
-
-// capStateOf returns the capState for ck without any lock on the fast
-// path, or nil when the key has never been filed or bumped. Keys still
-// waiting in extra (a bulk load in flight) fall back to the read lock.
-//
-// Both miss paths re-check the view before giving up: a concurrent
-// merge (mergeExtraLocked, or the rebuild republish) moves keys from
-// extra into a grown view — storing the view *before* zeroing extraN —
-// so a key can leave extra between this reader's first view load and
-// its extra probe. Views only ever grow, and Go atomics are
-// sequentially consistent, so one re-load after observing extraN==0
-// (or missing the key in extra under the lock) closes the window: a
-// key whose Publish completed before the call can never be reported
-// absent.
-func (sh *shard) capStateOf(ck capKey) *capState {
-	if st, ok := (*sh.view.Load())[ck]; ok {
+// capStateLocked returns the shard's state for ck, creating it when
+// absent. Callers hold the shard's write lock.
+func (sh *shard) capStateLocked(ck capKey) *capState {
+	if st := sh.capStateOf(ck); st != nil {
 		return st
 	}
-	if sh.extraN.Load() == 0 {
-		return (*sh.view.Load())[ck]
-	}
-	sh.mu.RLock()
-	st := sh.extra[ck]
-	if st == nil {
-		st = (*sh.view.Load())[ck]
-	}
-	sh.mu.RUnlock()
+	st := &capState{}
+	sh.caps.Store(ck, st)
 	return st
+}
+
+// capStateOf returns the capState for ck without any lock, or nil when
+// the key has never been filed or bumped.
+func (sh *shard) capStateOf(ck capKey) *capState {
+	if v, ok := sh.caps.Load(ck); ok {
+		return v.(*capState)
+	}
+	return nil
 }
 
 // republish rebuilds the epoch-tagged candidate slice for ck from the
@@ -257,8 +203,8 @@ func (sh *shard) capStateOf(ck capKey) *capState {
 // tag pair can never claim a newer index state than the slice carries.
 // The store itself runs outside the lock; a republisher delayed across
 // a per-key mutation installs a slice the epoch tag rejects, and one
-// delayed across a rebuild or ablation drop installs a slice the gen
-// tag rejects — stale publications are recoverable, never served.
+// delayed across a rebuild installs a slice the gen tag rejects — stale
+// publications are recoverable, never served.
 func (sh *shard) republish(ck capKey, st *capState) []*storedService {
 	sh.mu.RLock()
 	e := st.epoch.Load()
@@ -295,17 +241,13 @@ type Store struct {
 	// counts holds per-tenant service counts (TenantID → *atomic.Int64).
 	counts sync.Map
 
-	// Index lifecycle: built lazily on the first indexed lookup, then
-	// maintained incrementally per shard; a moved ontology version forces
-	// a whole-store rebuild (concept mutations change every closure).
-	indexing     atomic.Bool
-	built        atomic.Bool
-	indexVersion atomic.Uint64
-	rebuildMu    sync.Mutex
-
-	indexedLookups atomic.Uint64
-	scanLookups    atomic.Uint64
-	indexRebuilds  atomic.Uint64
+	// Index lifecycle: maintained incrementally per shard by every
+	// Publish/Withdraw; a lookup that finds the ontology version moved
+	// past indexVersion forces a whole-store rebuild (concept mutations
+	// change every closure).
+	indexVersion  atomic.Uint64
+	rebuildMu     sync.Mutex
+	indexRebuilds atomic.Uint64
 
 	watchMu  sync.RWMutex
 	watchers map[int]watcher
@@ -338,11 +280,11 @@ func NewStore(o *semantics.Ontology, opts StoreOptions) *Store {
 	}
 	for i := range s.shards {
 		s.shards[i].services = make(map[svcKey]*storedService)
-		s.shards[i].extra = make(map[capKey]*capState)
-		empty := make(capView)
-		s.shards[i].view.Store(&empty)
+		s.shards[i].index = make(map[capKey]map[ServiceID]*storedService)
 	}
-	s.indexing.Store(true)
+	if o != nil {
+		s.indexVersion.Store(o.Version())
+	}
 	if opts.Obs != nil {
 		s.lockWait = opts.Obs.HistogramVec("qasom_registry_shard_lock_wait_seconds",
 			"Contended write-lock acquisition waits per registry shard.",
@@ -383,43 +325,11 @@ func (s *Store) ShardOf(t TenantID, id ServiceID) int {
 	return int(s.shardOfID(t, id))
 }
 
-// SetIndexing enables or disables the capability index store-wide
-// (enabled by default); disabling drops every shard's index and reverts
-// lookups to the full-scan path. Ablation/benchmark knob.
-func (s *Store) SetIndexing(enabled bool) {
-	s.rebuildMu.Lock()
-	defer s.rebuildMu.Unlock()
-	s.indexing.Store(enabled)
-	if !enabled {
-		s.built.Store(false)
-		for i := range s.shards {
-			sh := &s.shards[i]
-			sh.mu.Lock()
-			sh.index = nil
-			// Index contents changed without epoch bumps: retire the
-			// incarnation so a republisher delayed across the switch
-			// cannot install a slice built from the dropped index.
-			sh.pubGen.Add(1)
-			// Published slices alias the dropped index; clear them so
-			// nothing holds candidate lists past the ablation switch.
-			for _, st := range *sh.view.Load() {
-				st.pub.Store(nil)
-			}
-			for _, st := range sh.extra {
-				st.pub.Store(nil)
-			}
-			sh.mu.Unlock()
-		}
-	}
-}
-
-// Metrics returns a snapshot of the store-wide lookup counters.
+// Metrics returns a snapshot of the store-wide index counters.
 func (s *Store) Metrics() Metrics {
 	return Metrics{
-		IndexedLookups: s.indexedLookups.Load(),
-		ScanLookups:    s.scanLookups.Load(),
-		IndexRebuilds:  s.indexRebuilds.Load(),
-		Shards:         len(s.shards),
+		IndexRebuilds: s.indexRebuilds.Load(),
+		Shards:        len(s.shards),
 	}
 }
 
@@ -573,18 +483,15 @@ func (s *Store) withdraw(t TenantID, id ServiceID) bool {
 // atomic under its shard's lock. ss == nil means withdrawal. Callers
 // hold the service's mutation stripe.
 func (s *Store) applyIndexDelta(t TenantID, id ServiceID, ss *storedService, oldKeys, newKeys []semantics.ConceptID) {
-	maintain := s.built.Load()
 	process := func(idx uint32) {
 		s.lockShard(idx)
 		sh := &s.shards[idx]
-		added := false
 		// bump invalidates the key for lock-free readers *before* the
 		// index change: the epoch moves and the published slice is nilled
 		// first, so a reader whose tag still matches is guaranteed to be
 		// looking at the pre-mutation index state.
 		bump := func(ck capKey) {
-			st, fresh := sh.capStateLocked(ck)
-			added = added || fresh
+			st := sh.capStateLocked(ck)
 			st.epoch.Add(1)
 			st.pub.Store(nil)
 		}
@@ -594,7 +501,7 @@ func (s *Store) applyIndexDelta(t TenantID, id ServiceID, ss *storedService, old
 			}
 			ck := capKey{t, k}
 			bump(ck)
-			if !maintain || (ss != nil && containsConcept(newKeys, k)) {
+			if ss != nil && containsConcept(newKeys, k) {
 				continue // key kept: the newKeys pass below overwrites the filing
 			}
 			if set := sh.index[ck]; set != nil {
@@ -611,12 +518,6 @@ func (s *Store) applyIndexDelta(t TenantID, id ServiceID, ss *storedService, old
 				}
 				ck := capKey{t, k}
 				bump(ck)
-				if !maintain {
-					continue
-				}
-				if sh.index == nil {
-					sh.index = make(map[capKey]map[ServiceID]*storedService)
-				}
 				set := sh.index[ck]
 				if set == nil {
 					set = make(map[ServiceID]*storedService)
@@ -624,14 +525,6 @@ func (s *Store) applyIndexDelta(t TenantID, id ServiceID, ss *storedService, old
 				}
 				set[id] = ss
 			}
-		}
-		// Fold freshly created capStates into the immutable view:
-		// immediately once a mutation stops minting new keys (flushes the
-		// tail a bulk load leaves behind), and in amortized batches of
-		// view/8 while one is in flight — populating k fresh capabilities
-		// costs O(k) total copying, not O(k²).
-		if n := len(sh.extra); n > 0 && (!added || n > len(*sh.view.Load())/8) {
-			sh.mergeExtraLocked()
 		}
 		sh.mu.Unlock()
 	}
@@ -725,25 +618,19 @@ func (s *Store) capabilityEpochs(t TenantID, dst []uint64, concepts ...semantics
 	return dst
 }
 
-// ensureIndex builds the capability index on first use and rebuilds it
-// when the ontology's version moved (concept/alias mutations change
-// every closure). The rebuild is the one whole-store lock: it takes
-// every shard's write lock, in index order, recomputes each stored
-// service's closure and refiles everything.
+// ensureIndex rebuilds the capability index when the ontology's version
+// moved past indexVersion (concept/alias mutations change every
+// closure). The rebuild is the one whole-store lock: it takes every
+// shard's write lock, in index order, recomputes each stored service's
+// closure and refiles everything.
 func (s *Store) ensureIndex() {
-	version := uint64(0)
-	if s.ontology != nil {
-		version = s.ontology.Version()
-	}
-	if s.built.Load() && s.indexVersion.Load() == version {
+	if s.ontology == nil || s.indexVersion.Load() == s.ontology.Version() {
 		return
 	}
 	s.rebuildMu.Lock()
 	defer s.rebuildMu.Unlock()
-	if s.ontology != nil {
-		version = s.ontology.Version()
-	}
-	if s.built.Load() && s.indexVersion.Load() == version {
+	version := s.ontology.Version()
+	if s.indexVersion.Load() == version {
 		return
 	}
 	for i := range s.shards {
@@ -767,80 +654,44 @@ func (s *Store) ensureIndex() {
 			}
 		}
 	}
-	// Republish each shard's view: existing capStates keep their epochs
-	// (a rebuild is not a mutation — the ontology version, appended to
-	// every epoch snapshot, is what certifies closure changes), new index
-	// keys minted by a moved ontology get zero-epoch states, and every
-	// published slice is cleared because index contents changed under
-	// unchanged epoch values. The incarnation bump is what keeps that
-	// clearing durable: a republisher that read the old index before the
-	// rebuild may store its slice *after* these loops run, and with
-	// epochs unmoved only the gen mismatch rejects it.
+	// Existing capStates keep their epochs (a rebuild is not a mutation —
+	// the ontology version, appended to every epoch snapshot, is what
+	// certifies closure changes), and index keys minted by the moved
+	// ontology get zero-epoch states. Index contents changed under
+	// unchanged epoch values, so the incarnation bump is what retires
+	// every published slice, including one a republisher that read the
+	// old index stores *after* this rebuild.
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.pubGen.Add(1)
-		old := *sh.view.Load()
-		next := make(capView, len(old)+len(sh.extra)+len(sh.index))
-		for k, st := range old {
-			st.pub.Store(nil)
-			next[k] = st
-		}
-		for k, st := range sh.extra {
-			st.pub.Store(nil)
-			next[k] = st
-		}
 		for ck := range sh.index {
-			if _, ok := next[ck]; !ok {
-				next[ck] = &capState{}
-			}
+			sh.capStateLocked(ck)
 		}
-		sh.view.Store(&next)
-		sh.extra = make(map[capKey]*capState)
-		sh.extraN.Store(0)
 	}
 	s.indexVersion.Store(version)
-	s.built.Store(true)
 	s.indexRebuilds.Add(1)
 	for i := range s.shards {
 		s.shards[i].mu.Unlock()
 	}
 }
 
-// collect gathers the stored-service pointers a candidate lookup must
-// consider: the capability's published slice on the indexed path (lock-
-// free when its epoch tag is current, one shard read lock to republish
-// after a mutation), every shard's tenant directory on the scan path.
-// The indexed result may be a shared snapshot — callers must treat it
-// as immutable and copy before filtering or sorting.
+// collect gathers the stored-service pointers filed under the
+// capability: its published slice, lock-free when its tags are current,
+// or rebuilt under one shard read lock after a mutation. The result may
+// be a shared snapshot — callers must treat it as immutable and copy
+// before filtering or sorting.
 func (s *Store) collect(t TenantID, canon semantics.ConceptID) []*storedService {
-	if s.indexing.Load() {
-		s.ensureIndex()
-		s.indexedLookups.Add(1)
-		sh := &s.shards[s.shardOfCap(t, canon)]
-		ck := capKey{t, canon}
-		st := sh.capStateOf(ck)
-		if st == nil {
-			return nil // key never filed or bumped: nothing to find
-		}
-		if p := st.pub.Load(); p != nil && p.epoch == st.epoch.Load() && p.gen == sh.pubGen.Load() {
-			return p.list
-		}
-		return sh.republish(ck, st)
+	s.ensureIndex()
+	sh := &s.shards[s.shardOfCap(t, canon)]
+	ck := capKey{t, canon}
+	st := sh.capStateOf(ck)
+	if st == nil {
+		return nil // key never filed or bumped: nothing to find
 	}
-	s.scanLookups.Add(1)
-	var out []*storedService
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for sk, ss := range sh.services {
-			if sk.tenant != t {
-				continue
-			}
-			out = append(out, ss)
-		}
-		sh.mu.RUnlock()
+	if p := st.pub.Load(); p != nil && p.epoch == st.epoch.Load() && p.gen == sh.pubGen.Load() {
+		return p.list
 	}
-	return out
+	return sh.republish(ck, st)
 }
 
 // watch subscribes to the tenant's change events; see Registry.Watch.

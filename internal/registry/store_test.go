@@ -1,8 +1,8 @@
 // Tests for the sharded, multi-tenant store: the shard-count
 // differential (identical candidates and epoch values at every shard
-// count and against the scan path), tenant isolation, per-shard/tenant
-// watch-event hygiene and the raced epoch-monotonicity differential the
-// CI quick gate runs under -race.
+// count and against the linear-scan oracle), tenant isolation,
+// per-shard/tenant watch-event hygiene and the raced
+// epoch-monotonicity differential the CI quick gate runs under -race.
 package registry
 
 import (
@@ -29,9 +29,9 @@ func TestStoreShardRounding(t *testing.T) {
 
 // TestDifferentialShardedCandidates drives one deterministic
 // publish/withdraw/re-publish sequence into stores with 1, 4 and 16
-// shards plus a scan-path store, and demands bit-identical observable
-// state from all of them: the same candidates for every lookup and the
-// same capability-epoch values (per-key bump counts are a function of
+// shards, and demands bit-identical observable state from all of them:
+// the same candidates for every lookup, equal to the scanCandidates
+// oracle's, and the same capability-epoch values (per-key bump counts are a function of
 // the operation sequence alone, never of shard placement).
 func TestDifferentialShardedCandidates(t *testing.T) {
 	onto := semantics.PervasiveWithScenarios()
@@ -44,9 +44,7 @@ func TestDifferentialShardedCandidates(t *testing.T) {
 		"shards=1":  NewStore(onto, StoreOptions{Shards: 1}).Tenant(DefaultTenant),
 		"shards=4":  NewStore(onto, StoreOptions{Shards: 4}).Tenant(DefaultTenant),
 		"shards=16": NewStore(onto, StoreOptions{Shards: 16}).Tenant(DefaultTenant),
-		"scan":      NewStore(onto, StoreOptions{Shards: 16}).Tenant(DefaultTenant),
 	}
-	regs["scan"].SetIndexing(false)
 
 	apply := func(f func(r *Registry) error) {
 		t.Helper()
@@ -79,13 +77,10 @@ func TestDifferentialShardedCandidates(t *testing.T) {
 			}
 		case 2: // mid-sequence lookup exercises incremental maintenance
 			c := concepts[next(len(concepts))]
-			var want []Candidate
-			for _, r := range regs {
-				got := r.Candidates(c, ps)
-				if want == nil {
-					want = got
-				} else if len(got) != len(want) {
-					t.Fatalf("mid-sequence lookup diverged for %s", c)
+			for name, r := range regs {
+				got := candidateIDs(r.Candidates(c, ps))
+				if want := candidateIDs(scanCandidates(r, c, ps)); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s: mid-sequence Candidates(%s) = %v, scan %v", name, c, got, want)
 				}
 			}
 		default:
@@ -114,6 +109,9 @@ func TestDifferentialShardedCandidates(t *testing.T) {
 			if fmt.Sprint(got) != fmt.Sprint(exp) {
 				t.Errorf("%s: Candidates(%s) = %v, want %v", name, c, got, exp)
 			}
+			if scan := candidateIDs(scanCandidates(r, c, ps)); fmt.Sprint(got) != fmt.Sprint(scan) {
+				t.Errorf("%s: Candidates(%s) = %v, scan %v", name, c, got, scan)
+			}
 		}
 		got := r.CapabilityEpochs(nil, lookups...)
 		exp := want.CapabilityEpochs(nil, lookups...)
@@ -121,11 +119,8 @@ func TestDifferentialShardedCandidates(t *testing.T) {
 			t.Errorf("%s: CapabilityEpochs = %v, want %v", name, got, exp)
 		}
 	}
-	if m := regs["shards=16"].Metrics(); m.IndexRebuilds != 1 || m.Shards != 16 {
-		t.Errorf("sharded store metrics = %+v, want one lazy build over 16 shards", m)
-	}
-	if m := regs["scan"].Metrics(); m.ScanLookups == 0 {
-		t.Errorf("scan store metrics = %+v, want scan lookups", m)
+	if m := regs["shards=16"].Metrics(); m.IndexRebuilds != 0 || m.Shards != 16 {
+		t.Errorf("sharded store metrics = %+v, want no rebuild over 16 shards", m)
 	}
 }
 
@@ -367,7 +362,7 @@ func TestShardTelemetry(t *testing.T) {
 // candidate set is a function of that epoch alone — a second lookup
 // bracketed by the same epoch value must return the identical list.
 // This is exactly the stability contract the plan cache builds on. Run
-// under -race it also proves the RCU publication discipline.
+// under -race it also proves the publication discipline.
 func TestRacedSnapshotReads(t *testing.T) {
 	s := NewStore(semantics.PervasiveWithScenarios(), StoreOptions{Shards: 4})
 	r := s.Tenant(DefaultTenant)
@@ -377,7 +372,7 @@ func TestRacedSnapshotReads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm the index so readers start on the indexed path.
+	// Warm the published slice so readers start on the lock-free path.
 	if got := candidateIDs(r.Candidates(semantics.BookSale, ps)); len(got) != 4 {
 		t.Fatalf("warm lookup returned %v", got)
 	}
@@ -462,12 +457,11 @@ func TestRacedSnapshotReads(t *testing.T) {
 	}
 }
 
-// TestRacedFreshKeyVisibility pins the capStateOf merge race: a key
-// whose Publish completed before the read began must never be invisible
-// (epoch 0, no candidates), even while concurrent publishes of
-// brand-new keys keep merging the extra overflow into the view — the
-// window where a key has just left extra (extraN observed 0) but the
-// reader's first view load predates the merged view.
+// TestRacedFreshKeyVisibility pins the read path's visibility guarantee:
+// a Publish that completed before a read began is visible to both
+// CapabilityEpochs (non-zero epoch) and Candidates (non-empty list),
+// even while concurrent publishes keep creating brand-new capability
+// keys in the same shards.
 func TestRacedFreshKeyVisibility(t *testing.T) {
 	s := NewStore(nil, StoreOptions{Shards: 2})
 	r := s.Tenant(DefaultTenant)
@@ -486,8 +480,8 @@ func TestRacedFreshKeyVisibility(t *testing.T) {
 				return
 			default:
 			}
-			// Every publish mints a fresh capability key, so the extra
-			// overflow grows and merges continuously on both shards.
+			// Every publish mints a fresh capability key, so both shards'
+			// capability maps grow continuously under the reader.
 			c := semantics.ConceptID(fmt.Sprintf("cap-%d", i))
 			d := Description{
 				ID:      ServiceID(fmt.Sprintf("svc-%d", i)),
@@ -500,7 +494,7 @@ func TestRacedFreshKeyVisibility(t *testing.T) {
 			}
 			select {
 			case published <- c:
-			default: // reader busy: skip, don't stall the merge churn
+			default: // reader busy: skip, don't stall the key churn
 			}
 		}
 	}()
@@ -551,7 +545,7 @@ func TestRebuildInvalidatesStalePublications(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm the index and install the publication for "shop".
+	// Install the publication for "shop".
 	if got := candidateIDs(r.Candidates("shop", ps)); len(got) != 1 || got[0] != "svc-shop" {
 		t.Fatalf("warm lookup = %v, want [svc-shop]", got)
 	}

@@ -22,7 +22,6 @@ package qasom
 
 import (
 	"fmt"
-	"time"
 
 	"qasom/internal/contract"
 	"qasom/internal/core"
@@ -156,18 +155,6 @@ type Options struct {
 	// run. 0 means the default (128 entries); negative disables caching.
 	// Distributed selections are never cached.
 	SelectionCacheSize int
-	// SelectionCacheSegments sets the plan cache's lock-stripe count
-	// (rounded up to a power of two, capped at 16). 0 auto-sizes from
-	// SelectionCacheSize; 1 forces a single segment, whose eviction
-	// order is exact global LRU. Lookups are lock-free at any setting —
-	// segments only bound writer (put/invalidate) contention and split
-	// the capacity into per-segment LRU shares.
-	SelectionCacheSegments int
-	// OntologyMemoCap bounds each of the ontology's Match/Distance memo
-	// tables so long-running nodes cannot grow them without limit. 0
-	// means the semantics-layer default (8192 entries per table);
-	// negative disables the bound.
-	OntologyMemoCap int
 	// Obs is the telemetry hub (metrics registry + span tracer) the
 	// instance reports into; nil means the process-wide default hub, so
 	// one /metrics endpoint covers every middleware in the process.
@@ -179,31 +166,11 @@ type Options struct {
 	// never invalidate its cached selection plans. The zero value is the
 	// default tenant.
 	TenantID string
-	// RegistryShards is the lock-domain count of a freshly created
-	// registry store (rounded up to a power of two; 0 means the registry
-	// default). Ignored when Store is set.
-	RegistryShards int
 	// Store, when non-nil, is a shared multi-tenant registry store this
 	// instance attaches to (via TenantID) instead of creating its own —
 	// the way many logical environments share one process. The store's
-	// ontology replaces the instance-private one, so OntologyMemoCap is
-	// ignored for shared stores.
+	// ontology replaces the instance-private one.
 	Store *registry.Store
-	// DisableSubstitutionIndex turns off the per-composition substitution
-	// index (internal/subidx). Default on: failover resolves replacements
-	// with one lock-free index lookup and falls back to the reactive
-	// alternate scan only when the index is cold, drained or exhausted.
-	// Disabling keeps the fully reactive pre-index behaviour.
-	DisableSubstitutionIndex bool
-	// SubstitutionIndexRefresh is the background refresh interval of the
-	// substitution index (re-rank after registry churn, re-stage
-	// behavioural alternates); 0 means the subidx default (250ms).
-	SubstitutionIndexRefresh time.Duration
-	// SubstitutionIndexCompositions bounds how many compositions keep a
-	// warm substitution index at once (an LRU over actively executing
-	// compositions — evicted indexes rebuild at their next Execute); 0
-	// means the subidx default (64).
-	SubstitutionIndexCompositions int
 	// ParetoMode switches every selection of this instance from scalar
 	// (single best-utility composition) to multi-objective: the
 	// composition still binds the scalarized-best member, and
@@ -238,7 +205,7 @@ type Middleware struct {
 	obs       *obs.Hub
 	met       composeMetrics
 	plans     *planCache
-	subst     *subidx.Tracker // nil when DisableSubstitutionIndex
+	subst     *subidx.Tracker
 	opts      Options
 	tenant    string // tenant label on metrics and flight records ("default" for the zero tenant)
 }
@@ -330,11 +297,7 @@ func New(opts ...Options) (*Middleware, error) {
 		onto = store.Ontology()
 	} else {
 		onto = semantics.PervasiveWithScenarios()
-		onto.SetMemoCap(o.OntologyMemoCap)
-		store = registry.NewStore(onto, registry.StoreOptions{
-			Shards: o.RegistryShards,
-			Obs:    o.Obs.Metrics,
-		})
+		store = registry.NewStore(onto, registry.StoreOptions{Obs: o.Obs.Metrics})
 	}
 	reg := store.Tenant(registry.TenantID(o.TenantID))
 	m := &Middleware{
@@ -347,17 +310,11 @@ func New(opts ...Options) (*Middleware, error) {
 		mon:      monitor.New(ps, monitor.Options{Obs: o.Obs}),
 		obs:      o.Obs,
 		met:      composeMetricsFor(o.Obs, tenantLabel(o.TenantID)),
-		plans:    newPlanCache(o.SelectionCacheSize, o.SelectionCacheSegments, o.Obs.Metrics),
+		plans:    newPlanCache(o.SelectionCacheSize, 0, o.Obs.Metrics),
 		opts:     o,
 		tenant:   tenantLabel(o.TenantID),
 	}
-	if !o.DisableSubstitutionIndex {
-		m.subst = subidx.NewTracker(reg, m.mon, subidx.Options{
-			RefreshInterval: o.SubstitutionIndexRefresh,
-			MaxTracked:      o.SubstitutionIndexCompositions,
-			Metrics:         o.Obs.Metrics,
-		})
-	}
+	m.subst = subidx.NewTracker(reg, m.mon, subidx.Options{Metrics: o.Obs.Metrics})
 	obs.RegisterBuildInfo(o.Obs.Metrics)
 	o.Obs.Metrics.Func("qasom_plan_cache_entries",
 		"Live entries in the selection-plan cache.",
@@ -397,9 +354,7 @@ func New(opts ...Options) (*Middleware, error) {
 // subscriptions. The instance stays usable afterwards — failover simply
 // reverts to the reactive scan. Safe to call more than once.
 func (m *Middleware) Close() {
-	if m.subst != nil {
-		m.subst.Close()
-	}
+	m.subst.Close()
 }
 
 // Observability returns the middleware's telemetry hub: the metrics
