@@ -67,12 +67,14 @@ if [ "${1:-}" = "quick" ]; then
 	go test -race -run 'TestDifferential|TestIndex|TestConcurrent|TestExecutor|TestStaged|TestResult' ./internal/adapt
 	# The multicore hot-path suite: raced lock-free reads in the registry
 	# (torn-publish check, fresh-key visibility, rejection of slices
-	# published across an index rebuild), raced per-segment eviction + epoch
-	# invalidation in the sharded plan cache, and the mutex-profile
-	# assertion that the warm read paths acquire zero locks.
+	# published across an index rebuild), raced LRU eviction + epoch
+	# invalidation in the plan cache, isolation of the shared cached
+	# plans from concurrent substitutions, concurrent contract
+	# establishment, and the mutex-profile assertion that the warm read
+	# paths acquire zero locks.
 	echo "== go test -race hot-path suite (quick)"
 	go test -race -run 'TestRacedSnapshotReads|TestRacedFreshKeyVisibility|TestRebuildInvalidatesStalePublications' ./internal/registry
-	go test -race -run 'TestPlanCacheShardedRaced|TestHotPathsAcquireNoMutexes' .
+	go test -race -run 'TestPlanCacheRaced|TestSharedPlanIsolation|TestConcurrentContracts|TestHotPathsAcquireNoMutexes' .
 	# The distributed failure matrix exercises the resilience layer's
 	# concurrency (hedged requests, breaker state, prompt cancellation);
 	# -shuffle=on catches order-dependent breaker/fault state.

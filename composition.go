@@ -199,10 +199,12 @@ func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestR
 		planEpochSnap = m.planEpochs(nil, t)
 		res, outcome := m.plans.lookup(planKey, planEpochSnap)
 		if res != nil {
-			res.Stats.CacheHit = true
+			// The cached Result is shared: flag the hit on a shallow copy.
+			hit := *res
+			hit.Stats.CacheHit = true
 			rec.CacheHit = true
-			fillSelectionRecord(rec, res)
-			return m.wrapComposition(coreReq, res), nil
+			fillSelectionRecord(rec, &hit)
+			return m.wrapComposition(coreReq, &hit), nil
 		}
 		rec.CacheMiss = outcome.missCause()
 	}

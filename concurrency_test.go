@@ -173,3 +173,51 @@ func TestConcurrentComposeWithChurn(t *testing.T) {
 		t.Errorf("concurrent compose failed: %v", err)
 	}
 }
+
+// TestConcurrentContracts establishes contracts from several goroutines
+// while others check them: no call may lose another's contracts, so
+// every returned contract ID must appear in the final compliance report.
+// Run with -race it also covers the contract manager's construction.
+func TestConcurrentContracts(t *testing.T) {
+	mw := newChurnMall(t)
+	const workers = 4
+	var wg sync.WaitGroup
+	established := make([]map[string]string, workers)
+	errs := make([]error, workers)
+	for g := 0; g < workers; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			comp, err := mw.Compose(qasom.Request{Task: churnTask})
+			if err != nil {
+				errs[g] = err
+				return
+			}
+			established[g], errs[g] = mw.EstablishContracts(comp, 1)
+		}()
+		go func() {
+			defer wg.Done()
+			_ = mw.CheckContracts()
+		}()
+	}
+	wg.Wait()
+	reported := make(map[string]bool)
+	for _, r := range mw.CheckContracts() {
+		reported[r.ContractID] = true
+	}
+	n := 0
+	for g := range established {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		for act, id := range established[g] {
+			n++
+			if !reported[id] {
+				t.Errorf("contract %s (activity %s) established but not reported", id, act)
+			}
+		}
+	}
+	if n != workers*3 || len(reported) != n {
+		t.Errorf("established %d contracts, reported %d; want %d", n, len(reported), workers*3)
+	}
+}

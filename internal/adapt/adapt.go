@@ -18,6 +18,8 @@ package adapt
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -71,7 +73,11 @@ type Runtime struct {
 	failoverFallbacks map[string]int
 }
 
-// NewRuntime wraps a fresh selection into a runtime.
+// NewRuntime wraps a selection into a runtime. res may be shared (a
+// plan-cache hit hands the same Result to every caller), so the runtime
+// keeps its own copy of what substitution mutates in place — the
+// assignment map and the alternate lists — and shares the rest, which
+// nothing writes after selection.
 func NewRuntime(req *core.Request, res *core.Result) *Runtime {
 	// The request was validated at selection time, so a compile failure
 	// here can only mean the caller mutated it since; running without the
@@ -81,7 +87,7 @@ func NewRuntime(req *core.Request, res *core.Result) *Runtime {
 		Req:       req,
 		Behaviour: req.Task,
 		deps:      ds,
-		result:    res,
+		result:    ownSelection(res),
 		completed: make(map[string]bool),
 		observed:  make(map[string]qos.Vector),
 	}
@@ -100,15 +106,29 @@ func (rt *Runtime) depAdmissibleLocked(activityID string, cand registry.Candidat
 	})
 }
 
-// Result returns a deep copy of the current selection result. The copy
-// is detached: Substitute and behaviour switches mutate the runtime's
-// internal result in place, and the returned value never observes those
-// mutations. Callers that only need a cheap read under the runtime lock
-// use View instead.
+// ownSelection copies the parts of res the runtime mutates in place (the
+// assignment map and each activity's alternate list) and shares the
+// rest: candidate values, Aggregated, Breakdown, Front and Stats are
+// read-only after selection.
+func ownSelection(res *core.Result) *core.Result {
+	cp := *res
+	cp.Assignment = maps.Clone(res.Assignment)
+	cp.Alternates = make(map[string][]registry.Candidate, len(res.Alternates))
+	for id, alts := range res.Alternates {
+		cp.Alternates[id] = slices.Clone(alts)
+	}
+	return &cp
+}
+
+// Result returns a copy of the current selection result. The copy is
+// detached from later substitutions: its assignment and alternate lists
+// are its own, and the fields it shares are never written. Callers must
+// treat the result as read-only. Callers that only need a cheap read
+// under the runtime lock use View instead.
 func (rt *Runtime) Result() *core.Result {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.result.Clone()
+	return ownSelection(rt.result)
 }
 
 // View runs f with the live selection result while holding the runtime

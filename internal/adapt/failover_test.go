@@ -63,10 +63,9 @@ func TestDifferentialDecisionIdentity(t *testing.T) {
 	mA, rtA, reg, mon, tr := indexedFixture(t)
 
 	// The reactive twin: same registry, monitor and options, no index,
-	// operating on a deep copy of the same selection.
-	var twinRes *core.Result
-	rtA.View(func(res *core.Result) { twinRes = res.Clone() })
-	rtB := NewRuntime(rtA.Req, twinRes)
+	// operating on the same selection (NewRuntime takes its own copy of
+	// the bindings and alternates it rotates).
+	rtB := NewRuntime(rtA.Req, rtA.Result())
 	mB := &Manager{Registry: reg, Repo: mA.Repo, Selector: mA.Selector, Monitor: mon}
 
 	failover := func(step string) {

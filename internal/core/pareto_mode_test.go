@@ -204,32 +204,6 @@ func TestParetoObjectiveValidation(t *testing.T) {
 	}
 }
 
-// TestParetoCloneDeepCopiesFront guards Result.Clone against aliasing
-// the front members.
-func TestParetoCloneDeepCopiesFront(t *testing.T) {
-	ps := qos.StandardSet()
-	laws := workload.DefaultLaws(ps)
-	g := workload.NewGenerator(2)
-	tk := g.Task("PC", 4, workload.ShapeLinear)
-	cands := g.Candidates(tk, 3, ps, laws)
-	req := &Request{Task: tk, Properties: ps, Objectives: []string{"responseTime", "price"}}
-	res, err := NewSelector(Options{Workers: 1, ParetoMode: true}).Select(req, cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Front) == 0 {
-		t.Skip("no front to clone")
-	}
-	cl := res.Clone()
-	if !reflect.DeepEqual(cl.Front, res.Front) {
-		t.Fatal("clone front differs")
-	}
-	cl.Front[0].Aggregated[0] += 1
-	if res.Front[0].Aggregated[0] == cl.Front[0].Aggregated[0] {
-		t.Fatal("clone aliases the original front member's aggregate")
-	}
-}
-
 // TestProbeVectorZeroAlloc pins the vector-probe hot path: re-assign +
 // AggregateInto through a caller-owned buffer must not allocate, and the
 // folded vector must be bit-identical to a full Aggregate.

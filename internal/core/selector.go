@@ -206,55 +206,6 @@ type Result struct {
 	Stats Stats
 }
 
-// Clone returns a deep copy of the result sharing no mutable state with
-// the original: assignment and alternate candidates are deep-copied
-// (registry.Candidate.Clone), the aggregated vector and the stats maps
-// are duplicated. Selection-plan caches rely on this to hand each caller
-// an independent Result while the cached original stays pristine.
-func (r *Result) Clone() *Result {
-	if r == nil {
-		return nil
-	}
-	cp := *r
-	cp.Assignment = make(Assignment, len(r.Assignment))
-	for id, c := range r.Assignment {
-		cp.Assignment[id] = c.Clone()
-	}
-	cp.Alternates = make(map[string][]registry.Candidate, len(r.Alternates))
-	for id, list := range r.Alternates {
-		cl := make([]registry.Candidate, len(list))
-		for i, c := range list {
-			cl[i] = c.Clone()
-		}
-		cp.Alternates[id] = cl
-	}
-	cp.Aggregated = r.Aggregated.Clone()
-	if r.Breakdown != nil {
-		cp.Breakdown = make(map[string]float64, len(r.Breakdown))
-		for k, v := range r.Breakdown {
-			cp.Breakdown[k] = v
-		}
-	}
-	if r.Stats.DegradedCauses != nil {
-		m := make(map[string]string, len(r.Stats.DegradedCauses))
-		for k, v := range r.Stats.DegradedCauses {
-			m[k] = v
-		}
-		cp.Stats.DegradedCauses = m
-	}
-	if r.Front != nil {
-		cp.Front = make([]Result, len(r.Front))
-		for i := range r.Front {
-			fc := r.Front[i].Clone()
-			if r.Front[i].Alternates == nil {
-				fc.Alternates = nil
-			}
-			cp.Front[i] = *fc
-		}
-	}
-	return &cp
-}
-
 // BindingRecords renders the result's assignment as flight-recorder
 // binding records (activity, service, per-service utility), sorted by
 // activity for deterministic output.

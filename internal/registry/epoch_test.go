@@ -127,23 +127,3 @@ func TestEpochRepublishAcrossCapabilities(t *testing.T) {
 		t.Error("new capability (CardPayment) epoch unchanged after the service moved in")
 	}
 }
-
-// TestCandidateClone: the deep copy shares no mutable state.
-func TestCandidateClone(t *testing.T) {
-	r := newTestRegistry()
-	if err := r.Publish(bookService("b1", 40)); err != nil {
-		t.Fatal(err)
-	}
-	ps := qos.StandardSet()
-	cands := r.Candidates(semantics.BookSale, ps)
-	if len(cands) != 1 {
-		t.Fatalf("got %d candidates", len(cands))
-	}
-	orig := cands[0]
-	cp := orig.Clone()
-	cp.Vector[0] = -1
-	cp.Service.Offers[0].Value = -1
-	if orig.Vector[0] == -1 || orig.Service.Offers[0].Value == -1 {
-		t.Error("Clone aliases the original's slices")
-	}
-}

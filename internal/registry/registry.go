@@ -132,15 +132,6 @@ type Candidate struct {
 	Match   semantics.MatchLevel
 }
 
-// Clone deep-copies the candidate so the copy shares no slices with the
-// original (selection results cached across requests must never alias a
-// caller's live composition).
-func (c Candidate) Clone() Candidate {
-	c.Service = c.Service.clone()
-	c.Vector = c.Vector.Clone()
-	return c
-}
-
 // sortCandidates orders a candidate list by match level (better first)
 // then service ID — the contract of every Candidates variant.
 func sortCandidates(out []Candidate) {

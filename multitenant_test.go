@@ -136,7 +136,7 @@ func TestDifferentialMultiTenantChurnRaced(t *testing.T) {
 					errc <- fmt.Errorf("tenant-b churn moved tenant-a epochs: %v -> %v", pinned, snap)
 					return
 				}
-				cached := mwA.plans.get(key, snap)
+				cached, _ := mwA.plans.lookup(key, snap)
 				if cached == nil {
 					errc <- fmt.Errorf("tenant-a cache entry invalidated by tenant-b churn")
 					return

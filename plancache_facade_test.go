@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"qasom"
@@ -338,5 +339,96 @@ func TestComposeCacheHitRespectsCancelledContext(t *testing.T) {
 	}
 	if !c.SelectionStats().CacheHit {
 		t.Error("warm entry lost after the cancelled probe")
+	}
+}
+
+// TestSharedPlanIsolation pins the ownership rule of the shared plan
+// cache: every composition served from one cache entry shares the same
+// Result, so substitutions and executions on those compositions — and on
+// the composition whose miss populated the entry — must land on the
+// adaptation runtime's own copy and never reach the cached plan.
+func TestSharedPlanIsolation(t *testing.T) {
+	mw, err := qasom.New(qasom.Options{Obs: obs.NewHub()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedMall(t, mw)
+	req := qasom.Request{Task: behaviourA}
+	miss, err := mw.Compose(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if miss.SelectionStats().CacheHit {
+		t.Fatal("first compose cannot be a cache hit")
+	}
+	want := viewOf(miss)
+
+	// substituteAll rotates every activity to its next alternate and
+	// checks the swap took effect on this composition.
+	substituteAll := func(c *qasom.Composition) error {
+		for act, before := range c.Bindings() {
+			got, err := c.Substitute(act)
+			if err != nil {
+				return fmt.Errorf("substitute %s: %w", act, err)
+			}
+			if got == before || c.Bindings()[act] != got {
+				return fmt.Errorf("substitute %s: bound %s, reported %s", act, c.Bindings()[act], got)
+			}
+		}
+		return nil
+	}
+	if err := substituteAll(miss); err != nil {
+		t.Fatal(err)
+	}
+
+	const workers = 4
+	var wg sync.WaitGroup
+	errc := make(chan error, workers)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				c, err := mw.Compose(req)
+				if err != nil {
+					errc <- err
+					return
+				}
+				if !c.SelectionStats().CacheHit {
+					errc <- fmt.Errorf("repeat compose missed the plan cache")
+					return
+				}
+				// Reactive substitution, execution (registers the
+				// substitution index), then an index-served substitution.
+				if err := substituteAll(c); err != nil {
+					errc <- err
+					return
+				}
+				if _, err := mw.Execute(context.Background(), c); err != nil {
+					errc <- err
+					return
+				}
+				if err := substituteAll(c); err != nil {
+					errc <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+
+	fresh, err := mw.Compose(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fresh.SelectionStats().CacheHit {
+		t.Fatal("entry lost: the final compose should still hit")
+	}
+	if got := viewOf(fresh); !reflect.DeepEqual(got, want) {
+		t.Errorf("cached plan was mutated through a served composition:\n got %+v\nwant %+v", got, want)
 	}
 }

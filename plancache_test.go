@@ -18,7 +18,7 @@ import (
 )
 
 // fakeResult builds a minimal distinguishable Result for cache-mechanics
-// tests (the cache treats results as opaque deep-copied payloads).
+// tests (the cache treats results as opaque shared payloads).
 func fakeResult(id string, utility float64) *core.Result {
 	return &core.Result{
 		Assignment: core.Assignment{
@@ -46,12 +46,18 @@ func counterValue(t *testing.T, r *obs.Registry, name string) float64 {
 	return 0
 }
 
+// hit probes the cache and returns the Result only on a hit.
+func hit(c *planCache, key string, now []uint64) *core.Result {
+	res, _ := c.lookup(key, now)
+	return res
+}
+
 func TestPlanCacheLRUEvictionAndCounters(t *testing.T) {
 	r := obs.NewRegistry()
-	c := newPlanCache(2, 0, r)
+	c := newPlanCache(2, r)
 	e := []uint64{7}
 
-	if got := c.get("a", e); got != nil {
+	if got := hit(c, "a", e); got != nil {
 		t.Fatal("empty cache should miss")
 	}
 	c.put("a", e, fakeResult("sa", 0.1))
@@ -60,20 +66,20 @@ func TestPlanCacheLRUEvictionAndCounters(t *testing.T) {
 		t.Fatalf("len = %d, want 2", c.len())
 	}
 	// Touch "a" so "b" is the LRU victim when "c" arrives.
-	if got := c.get("a", e); got == nil || got.Utility != 0.1 {
-		t.Fatalf("get(a) = %+v", got)
+	if got := hit(c, "a", e); got == nil || got.Utility != 0.1 {
+		t.Fatalf("lookup(a) = %+v", got)
 	}
 	c.put("c", e, fakeResult("sc", 0.3))
 	if c.len() != 2 {
 		t.Fatalf("len after eviction = %d, want 2", c.len())
 	}
-	if got := c.get("b", e); got != nil {
+	if got := hit(c, "b", e); got != nil {
 		t.Error("LRU entry b should have been evicted")
 	}
-	if got := c.get("a", e); got == nil {
+	if got := hit(c, "a", e); got == nil {
 		t.Error("recently used entry a should survive")
 	}
-	if got := c.get("c", e); got == nil {
+	if got := hit(c, "c", e); got == nil {
 		t.Error("newest entry c should survive")
 	}
 	if v := counterValue(t, r, "qasom_plan_cache_evictions_total"); v != 1 {
@@ -81,10 +87,10 @@ func TestPlanCacheLRUEvictionAndCounters(t *testing.T) {
 	}
 
 	// Epoch mismatch drops the entry on sight and counts an invalidation.
-	if got := c.get("a", []uint64{8}); got != nil {
-		t.Error("epoch mismatch should miss")
+	if got, outcome := c.lookup("a", []uint64{8}); got != nil || outcome != planMissEpoch {
+		t.Errorf("epoch mismatch should miss with planMissEpoch, got %v, %v", got, outcome)
 	}
-	if got := c.get("a", e); got != nil {
+	if got, outcome := c.lookup("a", e); got != nil || outcome != planMissCold {
 		t.Error("stale entry should have been removed, not just skipped")
 	}
 	if v := counterValue(t, r, "qasom_plan_cache_epoch_invalidations_total"); v != 1 {
@@ -94,53 +100,56 @@ func TestPlanCacheLRUEvictionAndCounters(t *testing.T) {
 		t.Errorf("hits counter = %g, want 3", hits)
 	}
 
-	// Both put and get deep-copy: mutating either side must not leak.
-	c.put("x", e, fakeResult("sx", 0.5))
-	got := c.get("x", e)
-	got.Assignment["act"].Vector[0] = 99
-	again := c.get("x", e)
-	if again.Assignment["act"].Vector[0] != 1 {
-		t.Error("mutation of a returned Result leaked into the cache")
+	// Results are shared, not copied: every hit returns the stored
+	// pointer.
+	stored := fakeResult("sx", 0.5)
+	c.put("x", e, stored)
+	if got, outcome := c.lookup("x", e); got != stored || outcome != planHit {
+		t.Errorf("lookup(x) = %p (%v), want the stored pointer %p", got, outcome, stored)
+	}
+	if got := hit(c, "x", e); got != stored {
+		t.Error("a second hit returned a different pointer")
 	}
 }
 
-func TestPlanCacheSegmentSizing(t *testing.T) {
-	for _, tc := range []struct{ capacity, requested, want int }{
-		{2, 0, 1},     // tiny caches stay single-segment (exact LRU)
-		{16, 0, 2},    // splits only while segments keep ≥8 entries
-		{32, 0, 4},    //
-		{128, 0, 16},  // the default: 16 segments of 8
-		{1024, 0, 16}, // capped at maxPlanCacheSegments
-		{128, 1, 1},   // explicit single segment wins
-		{128, 3, 4},   // explicit counts round up to a power of two
-		{128, 64, 16}, // explicit counts are capped too
-	} {
-		c := newPlanCache(tc.capacity, tc.requested, obs.NewRegistry())
-		if got := c.segments(); got != tc.want {
-			t.Errorf("newPlanCache(%d, %d): %d segments, want %d",
-				tc.capacity, tc.requested, got, tc.want)
+// TestPlanCacheFullCapacityUsable fills a default-capacity cache with
+// exactly capacity distinct keys: every key must hit and nothing may be
+// evicted, whatever the keys hash to.
+func TestPlanCacheFullCapacityUsable(t *testing.T) {
+	r := obs.NewRegistry()
+	c := newPlanCache(0, r)
+	e := []uint64{1}
+	for i := 0; i < defaultPlanCacheSize; i++ {
+		c.put(fmt.Sprintf("shape-%d", i), e, fakeResult("s", float64(i)))
+	}
+	if c.len() != defaultPlanCacheSize {
+		t.Errorf("len = %d, want %d", c.len(), defaultPlanCacheSize)
+	}
+	for i := 0; i < defaultPlanCacheSize; i++ {
+		if got := hit(c, fmt.Sprintf("shape-%d", i), e); got == nil || got.Utility != float64(i) {
+			t.Errorf("shape-%d: lookup = %+v, want a hit", i, got)
 		}
 	}
+	if v := counterValue(t, r, "qasom_plan_cache_evictions_total"); v != 0 {
+		t.Errorf("evictions counter = %g, want 0 at exactly full capacity", v)
+	}
 }
 
-// TestPlanCacheShardedRaced storms a multi-segment cache with
-// concurrent puts, hits, and epoch invalidations and then checks the
-// invariants the churn differential relies on: the capacity bound holds
-// per segment, stale entries are really gone, surviving entries return
-// deep copies of exactly what was stored, and the counters account for
-// the eviction/invalidation traffic. Run under -race it proves the
-// lock-free hit path against the copy-on-write writers.
-func TestPlanCacheShardedRaced(t *testing.T) {
+// TestPlanCacheRaced storms the cache with concurrent puts, hits, and
+// epoch invalidations and then checks the invariants the churn
+// differential relies on: the capacity bound holds, stale entries are
+// really gone, surviving entries return exactly what was stored, and
+// the counters account for the eviction/invalidation traffic. Run under
+// -race it proves the lock-free hit path against the copy-on-write
+// writers.
+func TestPlanCacheRaced(t *testing.T) {
 	r := obs.NewRegistry()
-	c := newPlanCache(16, 4, r)
-	if c.segments() != 4 {
-		t.Fatalf("segments = %d, want 4", c.segments())
-	}
+	c := newPlanCache(16, r)
 	fresh := []uint64{1}
 	stale := []uint64{2}
 	keyOf := func(i int) string { return fmt.Sprintf("plan-%d", i) }
 
-	const keys = 48 // 3x capacity: every segment must evict
+	const keys = 48 // 3x capacity: the cache must evict
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -152,17 +161,13 @@ func TestPlanCacheShardedRaced(t *testing.T) {
 				case 0:
 					c.put(k, fresh, fakeResult(k, float64((g*7+i)%keys)))
 				case 1:
-					if got := c.get(k, fresh); got != nil {
-						// A hit must carry the payload stored under that key.
-						if got.Utility != float64((g*7+i)%keys) {
-							t.Errorf("get(%s) returned foreign payload %v", k, got.Utility)
-							return
-						}
-						// Deep copy: scribbling on it must not reach the cache.
-						got.Assignment["act"].Vector[0] = 99
+					// A hit must carry the payload stored under that key.
+					if got := hit(c, k, fresh); got != nil && got.Utility != float64((g*7+i)%keys) {
+						t.Errorf("lookup(%s) returned foreign payload %v", k, got.Utility)
+						return
 					}
 				case 2:
-					_ = c.get(k, stale) // epoch mismatch: removal-on-sight
+					_ = hit(c, k, stale) // epoch mismatch: removal-on-sight
 				}
 			}
 		}(g)
@@ -172,24 +177,18 @@ func TestPlanCacheShardedRaced(t *testing.T) {
 	if got := c.len(); got > 16 {
 		t.Errorf("len = %d exceeds capacity 16", got)
 	}
-	for i := range c.segs {
-		if n := len(*c.segs[i].items.Load()); n > c.segCap {
-			t.Errorf("segment %d holds %d entries, cap share is %d", i, n, c.segCap)
-		}
-	}
-	// Quiesced sweep: every surviving entry is uncorrupted (hit-path
-	// scribbles above must have landed on copies) and every stale probe
-	// removed its entry.
+	// Quiesced sweep: every surviving entry is intact and every stale
+	// probe removes its entry.
 	for i := 0; i < keys; i++ {
 		k := keyOf(i)
-		if got := c.get(k, fresh); got != nil {
+		if got := hit(c, k, fresh); got != nil {
 			if got.Utility != float64(i) || got.Assignment["act"].Vector[0] != 1 {
 				t.Errorf("entry %s corrupted: %+v", k, got)
 			}
-			if c.get(k, stale) != nil {
+			if hit(c, k, stale) != nil {
 				t.Errorf("stale probe of %s returned a result", k)
 			}
-			if c.get(k, fresh) != nil {
+			if hit(c, k, fresh) != nil {
 				t.Errorf("stale probe of %s did not remove the entry", k)
 			}
 		}
@@ -200,14 +199,10 @@ func TestPlanCacheShardedRaced(t *testing.T) {
 	if v := counterValue(t, r, "qasom_plan_cache_epoch_invalidations_total"); v == 0 {
 		t.Error("no epoch invalidations counted despite stale probes")
 	}
-	hits := counterValue(t, r, "qasom_plan_cache_hits_total")
-	if segSum := counterValue(t, r, "qasom_plan_cache_segment_hits_total"); segSum > hits {
-		t.Errorf("per-segment hits %g exceed total hits %g", segSum, hits)
-	}
 }
 
 func TestPlanCacheDisabledIsNil(t *testing.T) {
-	c := newPlanCache(-1, 0, obs.NewRegistry())
+	c := newPlanCache(-1, obs.NewRegistry())
 	if c != nil {
 		t.Fatal("negative capacity should disable the cache")
 	}
@@ -216,8 +211,8 @@ func TestPlanCacheDisabledIsNil(t *testing.T) {
 	if c.len() != 0 {
 		t.Error("nil cache len should be 0")
 	}
-	if c.get("k", nil) != nil {
-		t.Error("nil cache get should miss")
+	if hit(c, "k", nil) != nil {
+		t.Error("nil cache lookup should miss")
 	}
 	c.put("k", nil, fakeResult("s", 1)) // must not panic
 }
@@ -324,7 +319,7 @@ func TestDifferentialPlanCacheChurnRaced(t *testing.T) {
 				stopOnce.Do(func() { close(stop) })
 			}
 			snap := mw.planEpochs(nil, tk)
-			cached := mw.plans.get(key, snap)
+			cached, _ := mw.plans.lookup(key, snap)
 			if cached == nil {
 				// Miss: a normal compose repopulates the entry.
 				if _, err := mw.Compose(req); err != nil {

@@ -150,9 +150,11 @@ type Options struct {
 	// SelectionCacheSize bounds the selection-plan cache: repeated
 	// Compose calls whose task, constraints, weights and approach match
 	// — and whose touched registry capabilities have not changed since
-	// (tracked by registry epochs) — are served a deep copy of the
-	// previous Result with zero selection work, bit-identical to a fresh
-	// run. 0 means the default (128 entries); negative disables caching.
+	// (tracked by registry epochs) — are served the previous selection
+	// with zero selection work, bit-identical to a fresh run. The cached
+	// selection is shared read-only; each Composition's adaptation
+	// runtime copies only the bindings and alternates it rotates. 0 means
+	// the default (128 entries); negative disables caching.
 	// Distributed selections are never cached.
 	SelectionCacheSize int
 	// Obs is the telemetry hub (metrics registry + span tracer) the
@@ -301,18 +303,19 @@ func New(opts ...Options) (*Middleware, error) {
 	}
 	reg := store.Tenant(registry.TenantID(o.TenantID))
 	m := &Middleware{
-		ontology: onto,
-		props:    ps,
-		reg:      reg,
-		repo:     task.NewRepository(onto),
-		env:      simenv.New(ps, reg, simenv.Options{Seed: o.Seed}),
-		selector: core.NewSelector(core.Options{K: o.K, MaxAlternates: o.MaxAlternates, Seed: o.Seed, Workers: o.Workers, ParetoMode: o.ParetoMode}),
-		mon:      monitor.New(ps, monitor.Options{Obs: o.Obs}),
-		obs:      o.Obs,
-		met:      composeMetricsFor(o.Obs, tenantLabel(o.TenantID)),
-		plans:    newPlanCache(o.SelectionCacheSize, 0, o.Obs.Metrics),
-		opts:     o,
-		tenant:   tenantLabel(o.TenantID),
+		ontology:  onto,
+		props:     ps,
+		reg:       reg,
+		repo:      task.NewRepository(onto),
+		env:       simenv.New(ps, reg, simenv.Options{Seed: o.Seed}),
+		selector:  core.NewSelector(core.Options{K: o.K, MaxAlternates: o.MaxAlternates, Seed: o.Seed, Workers: o.Workers, ParetoMode: o.ParetoMode}),
+		mon:       monitor.New(ps, monitor.Options{Obs: o.Obs}),
+		contracts: contract.NewManager(ps, onto),
+		obs:       o.Obs,
+		met:       composeMetricsFor(o.Obs, tenantLabel(o.TenantID)),
+		plans:     newPlanCache(o.SelectionCacheSize, o.Obs.Metrics),
+		opts:      o,
+		tenant:    tenantLabel(o.TenantID),
 	}
 	m.subst = subidx.NewTracker(reg, m.mon, subidx.Options{Metrics: o.Obs.Metrics})
 	obs.RegisterBuildInfo(o.Obs.Metrics)
