@@ -68,13 +68,16 @@ if [ "${1:-}" = "quick" ]; then
 	# The multicore hot-path suite: raced lock-free reads in the registry
 	# (torn-publish check, fresh-key visibility, rejection of slices
 	# published across an index rebuild), raced LRU eviction + epoch
-	# invalidation in the plan cache, isolation of the shared cached
-	# plans from concurrent substitutions, concurrent contract
+	# invalidation in the plan cache, the bounded task-document intern
+	# table under a concurrent flood of distinct documents, isolation of
+	# the shared cached plans from concurrent substitutions (the runtime
+	# copies a shared selection on its first commit), concurrent contract
 	# establishment, and the mutex-profile assertion that the warm read
-	# paths acquire zero locks.
+	# paths, task resolution included, acquire zero locks.
 	echo "== go test -race hot-path suite (quick)"
 	go test -race -run 'TestRacedSnapshotReads|TestRacedFreshKeyVisibility|TestRebuildInvalidatesStalePublications' ./internal/registry
-	go test -race -run 'TestPlanCacheRaced|TestSharedPlanIsolation|TestConcurrentContracts|TestHotPathsAcquireNoMutexes' .
+	go test -race -run 'TestPlanCacheRaced|TestInternConcurrentFlood|TestSharedPlanIsolation|TestConcurrentContracts|TestHotPathsAcquireNoMutexes' .
+	go test -race -run 'TestRuntimeCopyOnFirstWrite' ./internal/adapt
 	# The distributed failure matrix exercises the resilience layer's
 	# concurrency (hedged requests, breaker state, prompt cancellation);
 	# -shuffle=on catches order-dependent breaker/fault state.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"qasom/internal/adapt"
@@ -15,6 +16,7 @@ import (
 	"qasom/internal/obs"
 	"qasom/internal/qos"
 	"qasom/internal/registry"
+	"qasom/internal/semantics"
 	"qasom/internal/subidx"
 	"qasom/internal/task"
 )
@@ -126,7 +128,7 @@ func (m *Middleware) ComposeContext(ctx context.Context, req Request) (*Composit
 func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestRecord) (*Composition, error) {
 	resolveStart := time.Now()
 	_, resolveSpan := obs.StartSpan(ctx, "compose.resolve")
-	t, err := m.resolveTask(req.Task)
+	resolved, err := m.resolveTask(req.Task)
 	resolveSpan.End()
 	resolveDur := time.Since(resolveStart)
 	rec.Phases.Resolve = resolveDur
@@ -134,7 +136,8 @@ func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestR
 	if err != nil {
 		return nil, err
 	}
-	rec.Task = fmt.Sprintf("%016x", t.Fingerprint())
+	t := resolved.task
+	rec.Task = fmt.Sprintf("%016x", resolved.fp)
 	if m.opts.ParetoMode && req.Distributed {
 		return nil, fmt.Errorf("qasom: ParetoMode selections are centralized-only: per-coordinator fronts cannot be merged by the distributed protocol")
 	}
@@ -195,8 +198,8 @@ func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestR
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		planKey = planCacheKey(t, coreReq)
-		planEpochSnap = m.planEpochs(nil, t)
+		planKey = planCacheKey(resolved.fp, coreReq)
+		planEpochSnap = m.planEpochs(nil, resolved)
 		res, outcome := m.plans.lookup(planKey, planEpochSnap)
 		if res != nil {
 			// The cached Result is shared: flag the hit on a shallow copy.
@@ -302,21 +305,90 @@ func (m *Middleware) wrapComposition(coreReq *core.Request, res *core.Result) *C
 	}
 }
 
-// resolveTask accepts an abstract-BPEL document or the name of a
-// registered task-class behaviour.
-func (m *Middleware) resolveTask(spec string) (*task.Task, error) {
+// resolvedTask is an immutable resolution of a request's task spec: the
+// task tree, its fingerprint and the activity concepts whose registry
+// epochs certify a cached plan. Shared read-only by every request that
+// names the same spec.
+type resolvedTask struct {
+	task     *task.Task
+	fp       uint64
+	concepts []semantics.ConceptID
+}
+
+func newResolvedTask(t *task.Task) *resolvedTask {
+	acts := t.Activities()
+	concepts := make([]semantics.ConceptID, len(acts))
+	for i, a := range acts {
+		concepts[i] = a.Concept
+	}
+	return &resolvedTask{task: t, fp: t.Fingerprint(), concepts: concepts}
+}
+
+// resolveTask accepts the name of a registered task-class behaviour or an
+// abstract-BPEL document, in that order of precedence. A document is
+// parsed once per Middleware: later requests with the same spec string
+// reuse the interned resolution without parsing or hashing it again.
+func (m *Middleware) resolveTask(spec string) (*resolvedTask, error) {
 	if spec == "" {
 		return nil, fmt.Errorf("qasom: empty task")
 	}
-	// A registered behaviour name?
-	for _, className := range m.repo.Names() {
-		for _, b := range m.repo.Class(className).Behaviours {
-			if b.Name == spec {
-				return b, nil
-			}
-		}
+	if b := m.repo.Behaviour(spec); b != nil {
+		return newResolvedTask(b), nil
 	}
-	return bpel.ParseString(spec)
+	if r := m.docs.load(spec); r != nil {
+		return r, nil
+	}
+	t, err := bpel.ParseString(spec)
+	if err != nil {
+		return nil, err
+	}
+	return m.docs.store(spec, newResolvedTask(t)), nil
+}
+
+// maxInternedDocs bounds the per-Middleware document intern table. The
+// serving workloads repeat a few dozen task shapes; a stream of distinct
+// documents (every request new) empties the table each time it fills
+// instead of pinning the first documents it saw.
+const maxInternedDocs = 256
+
+// internTable maps exact task-document strings to their resolutions.
+// Reads are one lock-free sync.Map load. Each generation counts the
+// stores it admitted; a store into a full generation swaps in an empty
+// one, so a generation never holds more than maxInternedDocs documents.
+type internTable struct {
+	gen atomic.Pointer[internGen]
+}
+
+type internGen struct {
+	docs   sync.Map // string → *resolvedTask
+	stored atomic.Int32
+}
+
+func newInternTable() *internTable {
+	t := &internTable{}
+	t.gen.Store(new(internGen))
+	return t
+}
+
+// load returns the interned resolution of spec, or nil.
+func (t *internTable) load(spec string) *resolvedTask {
+	if v, ok := t.gen.Load().docs.Load(spec); ok {
+		return v.(*resolvedTask)
+	}
+	return nil
+}
+
+// store interns r under spec and returns the interned resolution (an
+// earlier concurrent store of the same spec wins).
+func (t *internTable) store(spec string, r *resolvedTask) *resolvedTask {
+	for {
+		g := t.gen.Load()
+		if g.stored.Add(1) <= maxInternedDocs {
+			v, _ := g.docs.LoadOrStore(spec, r)
+			return v.(*resolvedTask)
+		}
+		t.gen.CompareAndSwap(g, new(internGen))
+	}
 }
 
 // SelectionStats attributes the cost of the selection that produced

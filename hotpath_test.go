@@ -1,10 +1,11 @@
 // Mutex-profile assertion for the serving hot paths. The scale-out
 // design promises that a warm plan-cache hit through Compose and the
 // registry's candidate/epoch read paths acquire zero mutexes: reads go
-// through atomically published snapshots (the registry's concurrent
-// capability index, the plan cache's copy-on-write map of shared
-// Results), so contention can only ever appear on the write/repair
-// paths. This test turns the runtime mutex profiler
+// through atomically published snapshots (the task-document intern
+// table, the task repository's behaviour-name map, the registry's
+// concurrent capability index, the plan cache's copy-on-write map of
+// shared Results), so contention can only ever appear on the
+// write/repair paths. This test turns the runtime mutex profiler
 // on, hammers the warm paths from several goroutines, and fails if any
 // contention sample's stack passes through a hot-path function.
 package qasom_test
@@ -30,6 +31,7 @@ var forbiddenHotPathFrames = []string{
 	"registry.(*Store).collect",
 	"registry.(*Store).capabilityEpochs",
 	"qasom.(*planCache).lookup",
+	"qasom.(*Middleware).resolveTask",
 }
 
 func TestHotPathsAcquireNoMutexes(t *testing.T) {

@@ -58,8 +58,13 @@ type Runtime struct {
 	deps *core.DependencySet
 
 	mu sync.Mutex
-	// result is the current selection (assignment + alternates).
+	// result is the current selection (assignment + alternates). Until
+	// owned is set it is the caller's Result, possibly shared with the
+	// plan cache and other runtimes, and must not be written.
 	result *core.Result
+	// owned reports that result's assignment map and alternate lists are
+	// this runtime's private copies (see ownLocked).
+	owned bool
 	// completed marks finished activities of the current behaviour.
 	completed map[string]bool
 	// observed keeps the measured QoS of completed activities (feeding
@@ -73,11 +78,13 @@ type Runtime struct {
 	failoverFallbacks map[string]int
 }
 
-// NewRuntime wraps a selection into a runtime. res may be shared (a
-// plan-cache hit hands the same Result to every caller), so the runtime
-// keeps its own copy of what substitution mutates in place — the
-// assignment map and the alternate lists — and shares the rest, which
-// nothing writes after selection.
+// NewRuntime wraps a selection into a runtime without copying it. res
+// may be shared (a plan-cache hit hands the same Result to every
+// caller): the runtime never writes it, and copies what substitution
+// mutates in place — the assignment map and the alternate lists — on the
+// first substitution commit (copy on first write). The rest is shared
+// for the runtime's lifetime, because nothing writes it after selection.
+// A compose-only caller therefore pays for no copy at all.
 func NewRuntime(req *core.Request, res *core.Result) *Runtime {
 	// The request was validated at selection time, so a compile failure
 	// here can only mean the caller mutated it since; running without the
@@ -87,7 +94,7 @@ func NewRuntime(req *core.Request, res *core.Result) *Runtime {
 		Req:       req,
 		Behaviour: req.Task,
 		deps:      ds,
-		result:    ownSelection(res),
+		result:    res,
 		completed: make(map[string]bool),
 		observed:  make(map[string]qos.Vector),
 	}
@@ -104,6 +111,16 @@ func (rt *Runtime) depAdmissibleLocked(activityID string, cand registry.Candidat
 		c, ok := rt.result.Assignment[id]
 		return c, ok
 	})
+}
+
+// ownLocked gives the runtime private copies of the assignment map and
+// alternate lists before their first in-place mutation. Caller holds
+// rt.mu.
+func (rt *Runtime) ownLocked() {
+	if !rt.owned {
+		rt.result = ownSelection(rt.result)
+		rt.owned = true
+	}
 }
 
 // ownSelection copies the parts of res the runtime mutates in place (the
@@ -132,8 +149,10 @@ func (rt *Runtime) Result() *core.Result {
 }
 
 // View runs f with the live selection result while holding the runtime
-// lock. The pointer aliases internal state that concurrent substitutions
-// mutate: f must not retain it past its return and must not mutate it.
+// lock. Until the first substitution commit the pointer is the Result
+// passed to NewRuntime (possibly shared); from then on it is the
+// runtime's private copy, which concurrent substitutions mutate. Either
+// way f must not retain it past its return and must not mutate it.
 func (rt *Runtime) View(f func(*core.Result)) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -282,7 +301,9 @@ func (rt *Runtime) switchBehaviour(newBehaviour *task.Task, sel *core.Result) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.Behaviour = newBehaviour
+	// sel is a fresh selection made for this runtime alone.
 	rt.result = sel
+	rt.owned = true
 	rt.version.Add(1)
 	// Completed activities of the old behaviour do not exist in the new
 	// one: keep only observations (for consumed QoS the old behaviour's
@@ -430,6 +451,7 @@ func (m *Manager) commitIndexed(rt *Runtime, activityID string, chosen registry.
 	if !rt.depAdmissibleLocked(activityID, chosen) {
 		return false, "dependency"
 	}
+	rt.ownLocked()
 	alts := rt.result.Alternates[activityID]
 	pos := -1
 	for i := range alts {
@@ -568,6 +590,7 @@ func (m *Manager) commitReactive(rt *Runtime, activityID string, pick registry.S
 // commitLocked rotates pick into the binding. Caller holds rt.mu and has
 // established that pick is a current alternate.
 func (m *Manager) commitLocked(rt *Runtime, activityID string, pick registry.ServiceID) registry.Candidate {
+	rt.ownLocked()
 	alts := rt.result.Alternates[activityID]
 	pos := -1
 	for i := range alts {

@@ -63,8 +63,8 @@ func TestDifferentialDecisionIdentity(t *testing.T) {
 	mA, rtA, reg, mon, tr := indexedFixture(t)
 
 	// The reactive twin: same registry, monitor and options, no index,
-	// operating on the same selection (NewRuntime takes its own copy of
-	// the bindings and alternates it rotates).
+	// operating on the same selection (Result returns a detached copy of
+	// the bindings and alternates).
 	rtB := NewRuntime(rtA.Req, rtA.Result())
 	mB := &Manager{Registry: reg, Repo: mA.Repo, Selector: mA.Selector, Monitor: mon}
 

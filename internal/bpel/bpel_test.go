@@ -158,6 +158,50 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseRejectsNonFiniteQoSModel pins that the QoS-model parameters
+// of a document (branch probabilities, expected loop iterations) must be
+// finite and consistent: a parsed task is shared by every request for the
+// same document, so a poisoned value would skew every aggregation.
+func TestParseRejectsNonFiniteQoSModel(t *testing.T) {
+	branch := func(p string) string {
+		return `<process name="p"><if><branch probability="` + p +
+			`"><invoke activity="a"/></branch><branch probability="0.5"><invoke activity="b"/></branch></if></process>`
+	}
+	loop := func(attrs string) string {
+		return `<process name="p"><while ` + attrs + `><invoke activity="a"/></while></process>`
+	}
+	tests := []struct {
+		name string
+		doc  string
+		ok   bool
+	}{
+		{"finite probability", branch("0.5"), true},
+		{"zero probability", branch("0"), true},
+		{"NaN probability", branch("NaN"), false},
+		{"+Inf probability", branch("+Inf"), false},
+		{"-Inf probability", branch("-Inf"), false},
+		{"negative probability", branch("-0.1"), false},
+		{"expected inside bounds", loop(`minIterations="1" maxIterations="3" expectedIterations="2.5"`), true},
+		{"expected zero (derived)", loop(`minIterations="1" maxIterations="3" expectedIterations="0"`), true},
+		{"expected +Inf", loop(`minIterations="1" maxIterations="3" expectedIterations="+Inf"`), false},
+		{"expected NaN", loop(`minIterations="1" maxIterations="3" expectedIterations="NaN"`), false},
+		{"expected negative", loop(`minIterations="1" maxIterations="3" expectedIterations="-5"`), false},
+		{"expected above max", loop(`minIterations="1" maxIterations="3" expectedIterations="7"`), false},
+		{"expected below min", loop(`minIterations="2" maxIterations="3" expectedIterations="1"`), false},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			_, err := ParseString(tt.doc)
+			if tt.ok && err != nil {
+				t.Errorf("valid document rejected: %v", err)
+			}
+			if !tt.ok && err == nil {
+				t.Error("expected parse error")
+			}
+		})
+	}
+}
+
 func TestRoundTrip(t *testing.T) {
 	orig, err := ParseString(shoppingBPEL)
 	if err != nil {

@@ -16,6 +16,10 @@ func FuzzParse(f *testing.F) {
 	f.Add(`<process`)
 	f.Add(``)
 	f.Add(`<process name="p"><invoke activity="a" inputs="A,B" outputs="C"/></process>`)
+	f.Add(`<process name="p"><if><branch probability="NaN"><invoke activity="x"/></branch></if></process>`)
+	f.Add(`<process name="p"><if><branch probability="+Inf"><invoke activity="x"/></branch></if></process>`)
+	f.Add(`<process name="p"><while minIterations="1" maxIterations="3" expectedIterations="+Inf"><invoke activity="x"/></while></process>`)
+	f.Add(`<process name="p"><while minIterations="1" maxIterations="3" expectedIterations="-5"><invoke activity="x"/></while></process>`)
 	f.Fuzz(func(t *testing.T, doc string) {
 		tk, err := ParseString(doc)
 		if err != nil {

@@ -96,15 +96,20 @@ func ServeDebug(ctx context.Context, addr string, h *Hub) (string, func(), error
 		_ = srv.Serve(ln) // returns on Shutdown/Close
 	}()
 	serveCtx, cancel := context.WithCancel(ctx)
+	shut := make(chan struct{})
 	go func() {
+		defer close(shut)
 		<-serveCtx.Done()
 		shutCtx, shutCancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer shutCancel()
 		_ = srv.Shutdown(shutCtx)
 	}()
+	// Serve returns as soon as Shutdown closes the listener, before idle
+	// keep-alive connections are closed: wait for Shutdown itself too.
 	stop := func() {
 		cancel()
 		<-done
+		<-shut
 	}
 	return ln.Addr().String(), stop, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"qasom/internal/semantics"
 )
@@ -70,6 +71,11 @@ func (c *Class) Alternatives(currentName string) []*Task {
 type Repository struct {
 	mu      sync.RWMutex
 	classes map[string]*Class
+	// behaviours maps every behaviour name to its task and class. Register
+	// rebuilds it under mu and publishes it atomically, so Behaviour and
+	// ClassOf read it without locking. When two classes share a behaviour
+	// name, the class whose name sorts first owns it.
+	behaviours atomic.Pointer[map[string]behaviourEntry]
 	// ontology, when set, enables subsumption-aware concept lookups.
 	ontology *semantics.Ontology
 }
@@ -92,7 +98,44 @@ func (r *Repository) Register(c *Class) error {
 		r.classes = make(map[string]*Class)
 	}
 	r.classes[c.Name] = c
+	r.indexBehavioursLocked()
 	return nil
+}
+
+// behaviourEntry is one behaviours-map value.
+type behaviourEntry struct {
+	task  *Task
+	class *Class
+}
+
+// indexBehavioursLocked rebuilds the behaviour-name map from the classes
+// in name order, keeping the first owner of each name. Caller holds mu.
+func (r *Repository) indexBehavioursLocked() {
+	idx := make(map[string]behaviourEntry)
+	for _, name := range r.namesLocked() {
+		c := r.classes[name]
+		for _, b := range c.Behaviours {
+			if _, taken := idx[b.Name]; !taken {
+				idx[b.Name] = behaviourEntry{task: b, class: c}
+			}
+		}
+	}
+	r.behaviours.Store(&idx)
+}
+
+// entry returns the behaviours-map entry for a task name (zero when
+// none).
+func (r *Repository) entry(taskName string) behaviourEntry {
+	if idx := r.behaviours.Load(); idx != nil {
+		return (*idx)[taskName]
+	}
+	return behaviourEntry{}
+}
+
+// Behaviour returns the registered behaviour with the given task name,
+// or nil. Lock-free: it sits on the compose path.
+func (r *Repository) Behaviour(taskName string) *Task {
+	return r.entry(taskName).task
 }
 
 // Class returns the class with the given name, or nil.
@@ -125,27 +168,17 @@ func (r *Repository) ByConcept(required semantics.ConceptID) []*Class {
 // ClassOf returns the class containing a behaviour with the given task
 // name, or nil. Adaptation uses it to find the class of the running task.
 func (r *Repository) ClassOf(taskName string) *Class {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.classes))
-	for name := range r.classes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		for _, b := range r.classes[name].Behaviours {
-			if b.Name == taskName {
-				return r.classes[name]
-			}
-		}
-	}
-	return nil
+	return r.entry(taskName).class
 }
 
 // Names returns the sorted names of all registered classes.
 func (r *Repository) Names() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	return r.namesLocked()
+}
+
+func (r *Repository) namesLocked() []string {
 	out := make([]string, 0, len(r.classes))
 	for name := range r.classes {
 		out = append(out, name)

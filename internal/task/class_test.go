@@ -146,3 +146,47 @@ func TestRepositoryZeroValue(t *testing.T) {
 		t.Error("lookup after zero-value Register failed")
 	}
 }
+
+func TestRepositoryBehaviourLookup(t *testing.T) {
+	repo := NewRepository(nil)
+	if repo.Behaviour("b1") != nil {
+		t.Error("empty repository should resolve no behaviour")
+	}
+	c := shoppingClass()
+	if err := repo.Register(c); err != nil {
+		t.Fatal(err)
+	}
+	if got := repo.Behaviour("b2"); got != c.Behaviours[1] {
+		t.Errorf("Behaviour(b2) = %v, want the registered task", got)
+	}
+	if repo.Behaviour("nope") != nil {
+		t.Error("Behaviour(nope) should be nil")
+	}
+}
+
+// TestRepositoryBehaviourNameTieBreak pins that when two classes declare
+// a behaviour of the same name, the class whose name sorts first owns it
+// for both Behaviour and ClassOf, whatever the registration order.
+func TestRepositoryBehaviourNameTieBreak(t *testing.T) {
+	first := &Class{Name: "a-class", Concept: semantics.ShoppingService,
+		Behaviours: []*Task{behaviour("shared", "a", "b")}}
+	second := &Class{Name: "z-class", Concept: semantics.ShoppingService,
+		Behaviours: []*Task{behaviour("shared", "x", "y"), behaviour("own", "q")}}
+	for _, order := range [][]*Class{{first, second}, {second, first}} {
+		repo := NewRepository(nil)
+		for _, c := range order {
+			if err := repo.Register(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := repo.Behaviour("shared"); got != first.Behaviours[0] {
+			t.Errorf("registered %s then %s: Behaviour(shared) = %s, want a-class's", order[0].Name, order[1].Name, got)
+		}
+		if got := repo.ClassOf("shared"); got != first {
+			t.Errorf("registered %s then %s: ClassOf(shared) = %v, want a-class", order[0].Name, order[1].Name, got)
+		}
+		if got := repo.ClassOf("own"); got != second {
+			t.Errorf("ClassOf(own) = %v, want z-class", got)
+		}
+	}
+}

@@ -179,7 +179,9 @@ func LoopNode(loop qos.Loop, body *Node) *Node {
 
 // Validate checks structural well-formedness: non-nil nodes, leaves carry
 // activities with unique non-empty IDs, patterns have children (loops
-// exactly one), probabilities align with branches.
+// exactly one), probabilities align with branches and are finite and
+// non-negative, and a loop's expected iteration count is zero (derived)
+// or a finite value inside its bounds.
 func (t *Task) Validate() error {
 	if t == nil || t.Root == nil {
 		return fmt.Errorf("task: nil task or root")
@@ -218,12 +220,22 @@ func validateNode(n *Node, seen map[string]struct{}) error {
 		if n.Kind == PatternChoice && n.Probs != nil && len(n.Probs) != len(n.Children) {
 			return fmt.Errorf("task: choice with %d probabilities for %d branches", len(n.Probs), len(n.Children))
 		}
+		for _, p := range n.Probs {
+			if !(p >= 0) || math.IsInf(p, 1) {
+				return fmt.Errorf("task: branch probability %v is not a finite non-negative number", p)
+			}
+		}
 	case PatternLoop:
 		if len(n.Children) != 1 {
 			return fmt.Errorf("task: loop with %d bodies, want 1", len(n.Children))
 		}
 		if n.Loop.Min < 0 || n.Loop.Max < n.Loop.Min {
 			return fmt.Errorf("task: loop bounds [%d,%d] invalid", n.Loop.Min, n.Loop.Max)
+		}
+		// Expected == 0 means "use (Min+Max)/2"; any other value is the
+		// mean iteration count and must lie inside the bounds.
+		if e := n.Loop.Expected; e != 0 && !(e >= float64(n.Loop.Min) && e <= float64(n.Loop.Max)) {
+			return fmt.Errorf("task: expected iterations %v outside loop bounds [%d,%d]", e, n.Loop.Min, n.Loop.Max)
 		}
 	default:
 		return fmt.Errorf("task: unknown pattern %d", int(n.Kind))

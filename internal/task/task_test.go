@@ -44,6 +44,14 @@ func TestValidate(t *testing.T) {
 		{"probs mismatch", &Task{Name: "x", Root: Choice([]float64{1}, act("a"), act("b"))}},
 		{"loop two bodies", &Task{Name: "x", Root: &Node{Kind: PatternLoop, Children: []*Node{act("a"), act("b")}}}},
 		{"loop bad bounds", &Task{Name: "x", Root: &Node{Kind: PatternLoop, Children: []*Node{act("a")}, Loop: qos.Loop{Min: 3, Max: 1}}}},
+		{"negative probability", &Task{Name: "x", Root: Choice([]float64{-0.1, 1}, act("a"), act("b"))}},
+		{"NaN probability", &Task{Name: "x", Root: Choice([]float64{math.NaN(), 1}, act("a"), act("b"))}},
+		{"infinite probability", &Task{Name: "x", Root: Choice([]float64{math.Inf(1), 1}, act("a"), act("b"))}},
+		{"NaN expected iterations", &Task{Name: "x", Root: LoopNode(qos.Loop{Min: 1, Max: 3, Expected: math.NaN()}, act("a"))}},
+		{"infinite expected iterations", &Task{Name: "x", Root: LoopNode(qos.Loop{Min: 1, Max: 3, Expected: math.Inf(1)}, act("a"))}},
+		{"negative expected iterations", &Task{Name: "x", Root: LoopNode(qos.Loop{Min: 1, Max: 3, Expected: -5}, act("a"))}},
+		{"expected iterations above max", &Task{Name: "x", Root: LoopNode(qos.Loop{Min: 1, Max: 3, Expected: 4}, act("a"))}},
+		{"expected iterations below min", &Task{Name: "x", Root: LoopNode(qos.Loop{Min: 2, Max: 3, Expected: 1}, act("a"))}},
 		{"unknown pattern", &Task{Name: "x", Root: &Node{Kind: Pattern(42), Children: []*Node{act("a")}}}},
 		{"activity with children", &Task{Name: "x", Root: &Node{Kind: PatternActivity, Activity: &Activity{ID: "a"}, Children: []*Node{act("b")}}}},
 	}

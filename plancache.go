@@ -10,8 +10,6 @@ import (
 
 	"qasom/internal/core"
 	"qasom/internal/obs"
-	"qasom/internal/semantics"
-	"qasom/internal/task"
 )
 
 // planCache is the bounded selection-plan cache of the serving engine:
@@ -36,8 +34,8 @@ import (
 // Cached Results are shared, read-only views: put stores the caller's
 // pointer and lookup hands the same pointer to every hit. Nothing may
 // write a Result once it is cached; the adaptation runtime, the one
-// component that mutates a selection, takes its own copy of what it
-// rotates (adapt.NewRuntime).
+// component that mutates a selection, copies what it rotates on its
+// first substitution (copy on first write, adapt.NewRuntime).
 type planCache struct {
 	capacity int
 	// items is the immutable key→entry map, swapped wholesale by
@@ -205,13 +203,14 @@ func equalEpochs(a, b []uint64) bool {
 }
 
 // planCacheKey derives the cache key of a prepared selection request:
-// the task-tree fingerprint plus every input that steers the selection
-// (approach, constraints in request order, the effective weight vector).
+// the task-tree fingerprint fp plus every input that steers the
+// selection (approach, constraints in request order, the effective
+// weight vector).
 // Selector options and the seed are fixed per Middleware and the cache
 // is per Middleware, so they need no key component.
-func planCacheKey(t *task.Task, req *core.Request) string {
+func planCacheKey(fp uint64, req *core.Request) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%016x|a%d", t.Fingerprint(), req.Approach)
+	fmt.Fprintf(&b, "%016x|a%d", fp, req.Approach)
 	for _, c := range req.Constraints {
 		fmt.Fprintf(&b, "|c:%s=%x", c.Property, math.Float64bits(c.Bound))
 	}
@@ -232,11 +231,6 @@ func planCacheKey(t *task.Task, req *core.Request) string {
 // shards had landed their updates at snapshot time — the stored
 // snapshot is already stale and the next lookup recomputes —
 // conservative, never incorrect.
-func (m *Middleware) planEpochs(dst []uint64, t *task.Task) []uint64 {
-	acts := t.Activities()
-	concepts := make([]semantics.ConceptID, len(acts))
-	for i, a := range acts {
-		concepts[i] = a.Concept
-	}
-	return m.reg.CapabilityEpochs(dst, concepts...)
+func (m *Middleware) planEpochs(dst []uint64, r *resolvedTask) []uint64 {
+	return m.reg.CapabilityEpochs(dst, r.concepts...)
 }

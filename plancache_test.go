@@ -262,12 +262,12 @@ func TestDifferentialPlanCacheChurnRaced(t *testing.T) {
 	}
 	// The verifier must key and recompute exactly as compose() does.
 	coreReq := &core.Request{
-		Task:        tk,
+		Task:        tk.task,
 		Properties:  mw.props,
 		Constraints: []qos.Constraint{{Property: "responseTime", Bound: 500}},
 		Approach:    qos.Pessimistic,
 	}
-	key := planCacheKey(tk, coreReq)
+	key := planCacheKey(tk.fp, coreReq)
 
 	stop := make(chan struct{})
 	var stopOnce sync.Once
@@ -331,9 +331,9 @@ func TestDifferentialPlanCacheChurnRaced(t *testing.T) {
 			localHits++
 			// Fresh recomputation through the same pipeline the cache
 			// bypassed.
-			candidates := make(map[string][]registry.Candidate, tk.Size())
+			candidates := make(map[string][]registry.Candidate, tk.task.Size())
 			ok := true
-			for _, a := range tk.Activities() {
+			for _, a := range tk.task.Activities() {
 				cands := mw.reg.CandidatesForActivity(a, mw.props)
 				if len(cands) == 0 {
 					ok = false

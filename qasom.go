@@ -207,6 +207,7 @@ type Middleware struct {
 	obs       *obs.Hub
 	met       composeMetrics
 	plans     *planCache
+	docs      *internTable
 	subst     *subidx.Tracker
 	opts      Options
 	tenant    string // tenant label on metrics and flight records ("default" for the zero tenant)
@@ -314,6 +315,7 @@ func New(opts ...Options) (*Middleware, error) {
 		obs:       o.Obs,
 		met:       composeMetricsFor(o.Obs, tenantLabel(o.TenantID)),
 		plans:     newPlanCache(o.SelectionCacheSize, o.Obs.Metrics),
+		docs:      newInternTable(),
 		opts:      o,
 		tenant:    tenantLabel(o.TenantID),
 	}
