@@ -174,7 +174,9 @@ func BenchmarkQASSA_RepairHeavy(b *testing.B) {
 // 10-activity mixed tree. The incremental engine re-folds only the
 // swapped leaf's root path; the naive route re-aggregates the whole tree
 // through a fresh assignment map, exactly as the global phase did before
-// the engine existed.
+// the engine existed. probe is the global phase's actual probe:
+// ProbeViolation replays only the constrained columns' path fold and
+// commits nothing.
 func BenchmarkEvalProbe(b *testing.B) {
 	req, cands := benchInstance(10, 50, 3, workload.ShapeMixed,
 		workload.AtMean, qos.Pessimistic)
@@ -195,6 +197,20 @@ func BenchmarkEvalProbe(b *testing.B) {
 			a := i % eng.Activities()
 			eng.Assign(a, i%eng.PoolSize(a))
 			if v := eng.Violation(); v < 0 {
+				b.Fatal("negative violation")
+			}
+		}
+	})
+	b.Run("probe", func(b *testing.B) {
+		eng, err := core.NewEvalEngine(eval, cands)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			a := i % eng.Activities()
+			if v := eng.ProbeViolation(a, i%eng.PoolSize(a)); v < 0 {
 				b.Fatal("negative violation")
 			}
 		}

@@ -67,7 +67,8 @@ if [ "${1:-}" = "quick" ]; then
 	go test -race -run 'TestDifferential|TestIndex|TestConcurrent|TestExecutor|TestStaged|TestResult' ./internal/adapt
 	# The multicore hot-path suite: raced lock-free reads in the registry
 	# (torn-publish check, fresh-key visibility, rejection of slices
-	# published across an index rebuild), raced LRU eviction + epoch
+	# published across an index rebuild, memoized candidate resolutions
+	# under churn and two property sets), raced LRU eviction + epoch
 	# invalidation in the plan cache, the bounded task-document intern
 	# table under a concurrent flood of distinct documents, isolation of
 	# the shared cached plans from concurrent substitutions (the runtime
@@ -75,7 +76,7 @@ if [ "${1:-}" = "quick" ]; then
 	# establishment, and the mutex-profile assertion that the warm read
 	# paths, task resolution included, acquire zero locks.
 	echo "== go test -race hot-path suite (quick)"
-	go test -race -run 'TestRacedSnapshotReads|TestRacedFreshKeyVisibility|TestRebuildInvalidatesStalePublications' ./internal/registry
+	go test -race -run 'TestRacedSnapshotReads|TestRacedFreshKeyVisibility|TestRebuildInvalidatesStalePublications|TestRacedMemoLookups' ./internal/registry
 	go test -race -run 'TestPlanCacheRaced|TestInternConcurrentFlood|TestSharedPlanIsolation|TestConcurrentContracts|TestHotPathsAcquireNoMutexes' .
 	go test -race -run 'TestRuntimeCopyOnFirstWrite' ./internal/adapt
 	# The distributed failure matrix exercises the resilience layer's

@@ -9,8 +9,9 @@ import (
 )
 
 // TestEvalProbeZeroAlloc enforces the incremental engine's zero-alloc
-// probe contract: Assign + Violation + Utility — the inner loop of every
-// repair and improvement sweep — must not allocate at all.
+// probe contract: Assign + Violation + Utility, and the non-mutating
+// ProbeViolation — the inner loops of every repair and improvement
+// sweep — must not allocate at all.
 func TestEvalProbeZeroAlloc(t *testing.T) {
 	ps := qos.StandardSet()
 	g := workload.NewGenerator(5)
@@ -40,6 +41,13 @@ func TestEvalProbeZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("eval probe allocates %.2f/op, want 0", avg)
+	}
+	avg = testing.AllocsPerRun(200, func() {
+		a := rng.Intn(n)
+		sink += eng.ProbeViolation(a, rng.Intn(eng.PoolSize(a)))
+	})
+	if avg != 0 {
+		t.Errorf("ProbeViolation allocates %.2f/op, want 0", avg)
 	}
 	_ = sink
 }

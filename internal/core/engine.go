@@ -53,10 +53,13 @@ type evalKernel interface {
 	Snapshot(dst []int) []int
 	// Load replaces the whole assignment (idx is indexed by activity).
 	Load(idx []int)
-	// Violation, Feasible and Aggregate query the current assignment's
-	// aggregated QoS against the request's global constraints.
+	// ProbeViolation returns the Violation the assignment would have with
+	// candidate cand bound to activity act, bit for bit, leaving the
+	// current assignment untouched.
+	ProbeViolation(act, cand int) float64
+	// Violation and Aggregate query the current assignment's aggregated
+	// QoS against the request's global constraints.
 	Violation() float64
-	Feasible() bool
 	Aggregate() qos.Vector
 	// AggregateInto copies the current aggregated vector into dst
 	// (len = property arity) and returns it — the allocation-free read
@@ -490,19 +493,89 @@ func (e *EvalEngine) Violation() float64 {
 	root := e.val(e.root)
 	total := 0.0
 	for i := range e.cons {
-		c := &e.cons[i]
-		v := root[c.prop]
-		var excess float64
-		if c.minimized {
-			excess = v - c.bound
-		} else {
-			excess = c.bound - v
-		}
-		if excess > 0 {
-			total += excess / c.denom
-		}
+		total += e.cons[i].excess(root[e.cons[i].prop])
 	}
 	return total
+}
+
+// excess is one constraint's relative excess at aggregated value v (0
+// when met).
+func (c *compiledConstraint) excess(v float64) float64 {
+	var x float64
+	if c.minimized {
+		x = v - c.bound
+	} else {
+		x = c.bound - v
+	}
+	if x > 0 {
+		return x / c.denom
+	}
+	return 0
+}
+
+// ProbeViolation returns the Violation the assignment would have with
+// candidate cand bound to activity act, without binding it: for each
+// constrained column it replays Assign's leaf-to-root fold — the prefix
+// row before the probed child, the cached sibling values, the same
+// SequenceStep/ParallelStep/AggregateChoice/AggregateLoop calls in the
+// same order — and writes no engine state. Columns fold independently,
+// so a column that comes out bit-unchanged at some node is unchanged at
+// the root too and the walk stops there. The global phase probes every
+// pool member this way and commits only the winning swap.
+func (e *EvalEngine) ProbeViolation(act, cand int) float64 {
+	v := e.vecAt(act, cand)
+	total := 0.0
+	for i := range e.cons {
+		c := &e.cons[i]
+		total += c.excess(e.probeColumn(act, c.prop, v[c.prop]))
+	}
+	return total
+}
+
+// probeColumn returns the root value of column q with activity act's
+// leaf holding x.
+func (e *EvalEngine) probeColumn(act, q int, x float64) float64 {
+	ni := e.leaf[act]
+	prop := e.props[q]
+	p := e.p
+	for {
+		if x == e.vals[int(ni)*p+q] {
+			return e.vals[int(e.root)*p+q] // bit-unchanged (NaN never is)
+		}
+		n := &e.nodes[ni]
+		if n.parent < 0 {
+			return x
+		}
+		par := &e.nodes[n.parent]
+		pos := int(n.childPos)
+		switch par.kind {
+		case task.PatternSequence, task.PatternParallel:
+			pre := e.prefix[n.parent]
+			acc := pre[pos*p+q]
+			for i := pos; i < len(par.children); i++ {
+				cv := x
+				if i != pos {
+					cv = e.vals[int(par.children[i])*p+q]
+				}
+				if par.kind == task.PatternSequence {
+					acc = qos.SequenceStep(prop, acc, cv)
+				} else {
+					acc = qos.ParallelStep(prop, acc, cv)
+				}
+			}
+			x = acc
+		case task.PatternChoice:
+			k := len(par.children)
+			for i, ci := range par.children {
+				e.scratch[i] = e.vals[int(ci)*p+q]
+			}
+			e.scratch[pos] = x
+			x = qos.AggregateChoice(prop, e.scratch[:k], par.probs, e.approach)
+		case task.PatternLoop:
+			x = qos.AggregateLoop(prop, x, par.loop, e.approach)
+		}
+		ni = n.parent
+	}
 }
 
 // Feasible reports whether the current assignment meets every global
@@ -568,6 +641,15 @@ func (k *naiveKernel) Load(idx []int) {
 	for a := range idx {
 		k.Assign(a, idx[a])
 	}
+}
+
+// ProbeViolation is the reference probe: bind, measure, restore.
+func (k *naiveKernel) ProbeViolation(act, cand int) float64 {
+	prev := k.cur[act]
+	k.Assign(act, cand)
+	v := k.Violation()
+	k.Assign(act, prev)
+	return v
 }
 
 func (k *naiveKernel) Violation() float64    { return k.eval.Violation(k.assign) }

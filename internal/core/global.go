@@ -38,6 +38,9 @@ type globalState struct {
 	// over pool-index bitmaps, allocation-free.
 	depSet *DependencySet
 	deps   *boundDeps
+	// probe is probeViolation's reusable override view (a field, so
+	// passing it to the dependency checks does not allocate).
+	probe probedCurrents
 }
 
 // init resolves the dense activity indexing and builds the evaluation
@@ -250,13 +253,32 @@ func (g *globalState) violation() float64 {
 	return v
 }
 
-// feasibleNow reports combined feasibility: every global constraint and
-// every dependency rule holds for the current assignment.
-func (g *globalState) feasibleNow() bool {
-	if !g.eng.Feasible() {
-		return false
+// probeViolation measures the combined violation the assignment would
+// have with pool member cand bound to activity act, counting the
+// evaluation like violation does, without committing the swap: the
+// kernel replays the constrained columns' fold and the dependency rules
+// read the assignment through a view that overrides (act, cand).
+func (g *globalState) probeViolation(act, cand int) float64 {
+	g.stats.Evaluations++
+	v := g.eng.ProbeViolation(act, cand)
+	if g.deps != nil {
+		g.probe = probedCurrents{k: g.eng, act: act, cand: cand}
+		v += float64(g.deps.violations(&g.probe))
 	}
-	return g.deps == nil || g.deps.violations(g.eng) == 0
+	return v
+}
+
+// probedCurrents is the kernel's assignment with one binding overridden.
+type probedCurrents struct {
+	k         currents
+	act, cand int
+}
+
+func (p *probedCurrents) Current(act int) int {
+	if act == p.act {
+		return p.cand
+	}
+	return p.k.Current(act)
 }
 
 // repair drives the assignment toward feasibility: each pass applies the
@@ -280,14 +302,12 @@ func (g *globalState) repair(limits []int) (bool, error) {
 		bestViol := cur
 		bestUtil := math.Inf(-1)
 		for a := range g.acts {
-			prev := g.eng.Current(a)
-			prevID := g.ranked[a][prev].Service.ID
+			prevID := g.ranked[a][g.eng.Current(a)].Service.ID
 			for i := 0; i < limits[a]; i++ {
 				if g.ranked[a][i].Service.ID == prevID {
 					continue
 				}
-				g.eng.Assign(a, i)
-				v := g.violation()
+				v := g.probeViolation(a, i)
 				if v > bestViol || (v == bestViol && bestAct < 0) {
 					continue // cannot win: skip the utility lookup
 				}
@@ -297,7 +317,6 @@ func (g *globalState) repair(limits []int) (bool, error) {
 					bestAct, bestCand = a, i
 				}
 			}
-			g.eng.Assign(a, prev)
 		}
 		if bestAct < 0 || bestViol >= cur {
 			return false, nil
@@ -337,8 +356,7 @@ func (g *globalState) reopenDependents(act int, limits []int, cur float64) float
 			if i == prev {
 				continue
 			}
-			g.eng.Assign(b, i)
-			v := g.violation()
+			v := g.probeViolation(b, i)
 			if v > bestViol || (v == bestViol && bestCand < 0) {
 				continue
 			}
@@ -355,8 +373,6 @@ func (g *globalState) reopenDependents(act int, limits []int, cur float64) float
 			if cur == 0 {
 				return 0
 			}
-		} else {
-			g.eng.Assign(b, prev)
 		}
 	}
 	return cur
@@ -386,9 +402,7 @@ func (g *globalState) improve(limits []int) {
 				if g.deps != nil && !g.deps.admissible(a, i, g.eng) {
 					continue
 				}
-				g.eng.Assign(a, i)
-				g.stats.Evaluations++
-				if g.feasibleNow() {
+				if g.probeViolation(a, i) == 0 {
 					bestUtil = u
 					bestCand = i
 				}
@@ -396,8 +410,6 @@ func (g *globalState) improve(limits []int) {
 			if bestCand >= 0 {
 				g.eng.Assign(a, bestCand)
 				improved = true
-			} else {
-				g.eng.Assign(a, prev)
 			}
 		}
 		if !improved {
@@ -459,8 +471,7 @@ type altEntry struct {
 // when swapped in alone come first, then by utility, then by ID.
 func (g *globalState) alternatesFor(a int) []registry.Candidate {
 	pool := g.ranked[a]
-	prev := g.eng.Current(a)
-	chosen := pool[prev].Service.ID
+	chosen := pool[g.eng.Current(a)].Service.ID
 	alts := make([]altEntry, 0, len(pool))
 	for i := range pool {
 		if pool[i].Service.ID == chosen {
@@ -472,17 +483,14 @@ func (g *globalState) alternatesFor(a int) []registry.Candidate {
 		if g.deps != nil && !g.deps.admissible(a, i, g.eng) {
 			continue
 		}
-		g.eng.Assign(a, i)
-		g.stats.Evaluations++
 		alts = append(alts, altEntry{
 			idx: i,
 			// A substitution must keep the constraints AND the dependency
 			// rules intact to count as feasibility-preserving.
-			keepsOK: g.feasibleNow(),
+			keepsOK: g.probeViolation(a, i) == 0,
 			utility: g.eng.CandidateUtility(a, i),
 		})
 	}
-	g.eng.Assign(a, prev)
 	sort.SliceStable(alts, func(a, b int) bool {
 		if alts[a].keepsOK != alts[b].keepsOK {
 			return alts[a].keepsOK

@@ -16,13 +16,15 @@ import (
 // per-property score column, and the rank matrix. Everything in it is
 // fully overwritten before use and nothing escapes the call, so pooled
 // reuse cannot change results; only Scores (retained by the returned
-// RankedCandidates) is allocated fresh, as a single backing array.
+// RankedCandidates) is allocated fresh, as a single backing array. perm
+// is the ranking permutation (see rankInPlace).
 type localScratch struct {
 	cl        cluster.Scratch
 	vecs      []qos.Vector
 	values    []float64
 	ranks     [][]int
 	ranksBack []int
+	perm      []int32
 }
 
 var localScratchPool = sync.Pool{New: func() any { return new(localScratch) }}
@@ -151,19 +153,60 @@ func localSelect(activityID string, cands []registry.Candidate, ps *qos.Property
 		ranked[i].ClassSize = e
 	}
 
-	sort.SliceStable(ranked, func(a, b int) bool {
-		ra, rb := &ranked[a], &ranked[b]
-		if ra.Level != rb.Level {
-			return ra.Level < rb.Level
-		}
-		if ra.ClassSize != rb.ClassSize {
-			return ra.ClassSize > rb.ClassSize
-		}
-		if ra.Utility != rb.Utility {
-			return ra.Utility > rb.Utility
-		}
-		return ra.Service.ID < rb.Service.ID
-	})
+	rankInPlace(ranked, scr)
 
 	return &LocalResult{ActivityID: activityID, Ranked: ranked, Levels: levels}, nil
+}
+
+// rankLess is the shortlist order: Level asc, ClassSize desc, Utility
+// desc, then service ID.
+func rankLess(ra, rb *RankedCandidate) bool {
+	if ra.Level != rb.Level {
+		return ra.Level < rb.Level
+	}
+	if ra.ClassSize != rb.ClassSize {
+		return ra.ClassSize > rb.ClassSize
+	}
+	if ra.Utility != rb.Utility {
+		return ra.Utility > rb.Utility
+	}
+	return ra.Service.ID < rb.Service.ID
+}
+
+// rankInPlace stable-sorts ranked by rankLess. It sorts a pooled index
+// permutation instead of the entries — a RankedCandidate is a large,
+// pointer-carrying struct that every sort swap would move with write
+// barriers — and then applies the permutation in place by following its
+// cycles, so each entry moves once and no second slice is allocated.
+func rankInPlace(ranked []RankedCandidate, scr *localScratch) {
+	n := len(ranked)
+	if cap(scr.perm) < n {
+		scr.perm = make([]int32, n)
+	}
+	perm := scr.perm[:n]
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	sort.SliceStable(perm, func(a, b int) bool {
+		return rankLess(&ranked[perm[a]], &ranked[perm[b]])
+	})
+	// Position i must receive the entry at perm[i]. Walk each cycle once,
+	// marking filled positions with perm[j] = j.
+	for i := range perm {
+		if int(perm[i]) == i {
+			continue
+		}
+		tmp := ranked[i]
+		j := i
+		for {
+			k := int(perm[j])
+			perm[j] = int32(j)
+			if k == i {
+				ranked[j] = tmp
+				break
+			}
+			ranked[j] = ranked[k]
+			j = k
+		}
+	}
 }

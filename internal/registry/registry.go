@@ -14,6 +14,7 @@ package registry
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"qasom/internal/qos"
@@ -67,6 +68,15 @@ func (d *Description) Validate() error {
 		return fmt.Errorf("registry: service without ID")
 	case d.Concept == "":
 		return fmt.Errorf("registry: service %q without capability concept", d.ID)
+	}
+	// A NaN or infinite offer would reach every later selection touching
+	// the capability (clustering rejects non-finite points), so it is
+	// refused here, where Publish, federation deltas and simenv.Deploy
+	// all pass.
+	for _, o := range d.Offers {
+		if math.IsNaN(o.Value) || math.IsInf(o.Value, 0) {
+			return fmt.Errorf("registry: service %q offers non-finite %q = %v", d.ID, o.Property, o.Value)
+		}
 	}
 	return nil
 }
@@ -261,7 +271,12 @@ func (r *Registry) All() []Description {
 // then ID.
 //
 // The lookup reads exactly one index entry, in the shard the required
-// concept hashes to.
+// concept hashes to, and resolves it once per capability epoch and
+// property set. The returned slice is the caller's own (filter or
+// reorder it freely), but the Descriptions' inner slices (Inputs,
+// Outputs, Offers) and the Vectors are shared with every other lookup at
+// the same epoch and must be treated as read-only, like plan-cache
+// Results.
 func (r *Registry) Candidates(required semantics.ConceptID, ps *qos.PropertySet) []Candidate {
 	return r.store.candidates(r.tenant, required, ps)
 }

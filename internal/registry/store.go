@@ -43,7 +43,9 @@ import (
 // the slice before touching the index, so a tag match proves the slice
 // is current). Only the first lookup after a mutation takes a shard
 // read lock, to rebuild the published slice from the writer-truth index
-// maps, which every Publish/Withdraw maintains from NewStore on.
+// maps, which every Publish/Withdraw maintains from NewStore on. Each
+// published slice also memoizes its resolved candidate list, so semantic
+// matching and vector alignment run once per epoch (see candidates).
 //
 // Mutations of one service (same tenant + ID) are serialized on a
 // striped mutex so a Publish/Withdraw race on the same ID cannot
@@ -143,6 +145,19 @@ type capPublished struct {
 	epoch uint64
 	gen   uint64
 	list  []*storedService
+	// resolved memoizes the candidate resolution of list (see
+	// Store.candidates). It dies with the snapshot: the next epoch bump
+	// or index rebuild publishes a fresh capPublished with an empty memo.
+	resolved atomic.Pointer[resolvedCandidates]
+}
+
+// resolvedCandidates is one capability's candidate list resolved against
+// one property set under one ontology version: matched, vector-aligned,
+// cloned once and sorted. It is immutable after the atomic store.
+type resolvedCandidates struct {
+	ps      *qos.PropertySet
+	version uint64
+	list    []Candidate
 }
 
 // shard is one lock domain of the store.
@@ -205,18 +220,17 @@ func (sh *shard) capStateOf(ck capKey) *capState {
 // a per-key mutation installs a slice the epoch tag rejects, and one
 // delayed across a rebuild installs a slice the gen tag rejects — stale
 // publications are recoverable, never served.
-func (sh *shard) republish(ck capKey, st *capState) []*storedService {
+func (sh *shard) republish(ck capKey, st *capState) *capPublished {
 	sh.mu.RLock()
-	e := st.epoch.Load()
-	g := sh.pubGen.Load()
+	p := &capPublished{epoch: st.epoch.Load(), gen: sh.pubGen.Load()}
 	set := sh.index[ck]
-	list := make([]*storedService, 0, len(set))
+	p.list = make([]*storedService, 0, len(set))
 	for _, ss := range set {
-		list = append(list, ss)
+		p.list = append(p.list, ss)
 	}
 	sh.mu.RUnlock()
-	st.pub.Store(&capPublished{epoch: e, gen: g, list: list})
-	return list
+	st.pub.Store(p)
+	return p
 }
 
 // watcher is one Watch subscription, tenant-filtered at notify time.
@@ -675,12 +689,11 @@ func (s *Store) ensureIndex() {
 	}
 }
 
-// collect gathers the stored-service pointers filed under the
-// capability: its published slice, lock-free when its tags are current,
-// or rebuilt under one shard read lock after a mutation. The result may
-// be a shared snapshot — callers must treat it as immutable and copy
-// before filtering or sorting.
-func (s *Store) collect(t TenantID, canon semantics.ConceptID) []*storedService {
+// collect returns the published snapshot of the services filed under
+// the capability: lock-free when its tags are current, or rebuilt under
+// one shard read lock after a mutation. The snapshot is shared — callers
+// must treat it as immutable. nil means the key was never filed.
+func (s *Store) collect(t TenantID, canon semantics.ConceptID) *capPublished {
 	s.ensureIndex()
 	sh := &s.shards[s.shardOfCap(t, canon)]
 	ck := capKey{t, canon}
@@ -689,7 +702,7 @@ func (s *Store) collect(t TenantID, canon semantics.ConceptID) []*storedService 
 		return nil // key never filed or bumped: nothing to find
 	}
 	if p := st.pub.Load(); p != nil && p.epoch == st.epoch.Load() && p.gen == sh.pubGen.Load() {
-		return p.list
+		return p
 	}
 	return sh.republish(ck, st)
 }
@@ -746,11 +759,39 @@ func (s *Store) watcherCount() int {
 
 // candidates resolves the tenant's services able to provide the required
 // capability; see Registry.Candidates for the contract.
+//
+// The resolution (capability match, vector alignment, one clone, sort)
+// runs once per published snapshot and property set: it is memoized on
+// the snapshot, tagged with ps and the ontology version, so repeat
+// lookups at an unchanged epoch make no Match or VectorFor calls. The
+// version is read before collect: a concurrent ontology mutation then
+// leaves the memo tagged with the older version, which the next lookup
+// rejects. Racing resolvers store identical lists, so last-store-wins
+// is harmless. Each call copies the memoized slice (one allocation);
+// the Descriptions' inner slices and the Vectors stay shared.
 func (s *Store) candidates(t TenantID, required semantics.ConceptID, ps *qos.PropertySet) []Candidate {
+	var version uint64
 	if s.ontology != nil {
+		version = s.ontology.Version()
 		required = s.ontology.Canonical(required)
 	}
-	stored := s.collect(t, required)
+	p := s.collect(t, required)
+	if p == nil {
+		return nil
+	}
+	r := p.resolved.Load()
+	if r == nil || r.ps != ps || r.version != version {
+		r = &resolvedCandidates{ps: ps, version: version, list: s.resolve(required, p.list, ps)}
+		p.resolved.Store(r)
+	}
+	out := make([]Candidate, len(r.list))
+	copy(out, r.list)
+	return out
+}
+
+// resolve matches and aligns a snapshot's services against ps, sorted by
+// the Candidates contract.
+func (s *Store) resolve(required semantics.ConceptID, stored []*storedService, ps *qos.PropertySet) []Candidate {
 	out := make([]Candidate, 0, len(stored))
 	for _, ss := range stored {
 		level := s.matchCapability(required, ss.desc.Concept)

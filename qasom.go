@@ -22,6 +22,7 @@ package qasom
 
 import (
 	"fmt"
+	"sort"
 
 	"qasom/internal/contract"
 	"qasom/internal/core"
@@ -381,13 +382,31 @@ func (m *Middleware) Publish(s Service) error {
 	if s.ID == "" || s.Capability == "" {
 		return fmt.Errorf("qasom: service needs ID and Capability")
 	}
-	offers := make([]registry.QoSOffer, 0, len(s.QoS))
-	for name, value := range s.QoS {
+	// Keys are visited in sorted order so the offer list, and any error,
+	// is deterministic. Two keys naming one property (a name, its concept
+	// or an ontology alias) would otherwise race in map order for which
+	// offer the registry resolves, so they are refused.
+	names := make([]string, 0, len(s.QoS))
+	for name := range s.QoS {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	offers := make([]registry.QoSOffer, 0, len(names))
+	canon := make([]semantics.ConceptID, 0, len(names))
+	for _, name := range names {
 		concept := semantics.ConceptID(name)
 		if j, ok := m.props.Index(name); ok {
 			concept = m.props.At(j).Concept
 		}
-		offers = append(offers, registry.QoSOffer{Property: concept, Value: value})
+		c := m.ontology.Canonical(concept)
+		for i, prev := range canon {
+			if prev == c {
+				return fmt.Errorf("qasom: service %q: QoS keys %q and %q name the same property %s",
+					s.ID, names[i], name, c)
+			}
+		}
+		canon = append(canon, c)
+		offers = append(offers, registry.QoSOffer{Property: concept, Value: s.QoS[name]})
 	}
 	desc := registry.Description{
 		ID:       registry.ServiceID(s.ID),

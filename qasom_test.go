@@ -3,6 +3,7 @@ package qasom_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -125,6 +126,57 @@ func TestPublishWithAliasVocabulary(t *testing.T) {
 	}
 	if comp.Bindings()["buy"] != "het" {
 		t.Errorf("bindings = %v", comp.Bindings())
+	}
+}
+
+// TestPublishRejectsNonFiniteQoS pins that one NaN or infinite
+// advertisement is refused at Publish instead of poisoning every later
+// composition over its capability.
+func TestPublishRejectsNonFiniteQoS(t *testing.T) {
+	mw, _ := qasom.New()
+	if err := mw.Publish(qasom.Service{ID: "ok", Capability: "BookSale", QoS: stdQoS(50)}); err != nil {
+		t.Fatal(err)
+	}
+	for i, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		q := stdQoS(50)
+		q["responseTime"] = bad
+		id := fmt.Sprintf("bad-%d", i)
+		if err := mw.Publish(qasom.Service{ID: id, Capability: "BookSale", QoS: q}); err == nil {
+			t.Errorf("Publish accepted responseTime = %v", bad)
+		}
+	}
+	if mw.ServiceCount() != 1 {
+		t.Errorf("ServiceCount = %d, want 1", mw.ServiceCount())
+	}
+	comp, err := mw.Compose(qasom.Request{Task: `<process name="p" concept="Shopping">
+	  <invoke activity="buy" concept="BookSale"/>
+	</process>`})
+	if err != nil {
+		t.Fatalf("Compose after rejected publishes: %v", err)
+	}
+	if comp.Bindings()["buy"] != "ok" {
+		t.Errorf("bindings = %v", comp.Bindings())
+	}
+}
+
+// TestPublishRejectsDuplicateQoSKeys pins that two keys naming one
+// property — its name, its concept, an ontology alias — are refused
+// with an error naming both, instead of resolving in map order.
+func TestPublishRejectsDuplicateQoSKeys(t *testing.T) {
+	mw, _ := qasom.New()
+	for _, dup := range []string{"ResponseTime", "Delay"} {
+		q := stdQoS(100)
+		q[dup] = 200
+		err := mw.Publish(qasom.Service{ID: "dup", Capability: "BookSale", QoS: q})
+		if err == nil {
+			t.Fatalf("Publish accepted responseTime and %s together", dup)
+		}
+		if msg := err.Error(); !strings.Contains(msg, `"responseTime"`) || !strings.Contains(msg, `"`+dup+`"`) {
+			t.Errorf("error %q does not name both keys", msg)
+		}
+	}
+	if mw.ServiceCount() != 0 {
+		t.Errorf("ServiceCount = %d, want 0", mw.ServiceCount())
 	}
 }
 

@@ -8,7 +8,9 @@
 #   OUT=<path> scripts/bench.sh    # override the output file
 #
 # Output schema: a JSON object keyed by benchmark name (GOMAXPROCS
-# suffix stripped), each value holding ns_per_op, bytes_per_op,
+# suffix stripped), led by a "_host" entry (scripts/hostfacts.sh: nproc,
+# GOMAXPROCS, Go version, CPU model; it has no ns_per_op, so benchcmp.sh
+# never compares it), each value holding ns_per_op, bytes_per_op,
 # allocs_per_op (as reported by -benchmem) — the three numbers the
 # acceptance criteria in ISSUE/PR discussions track. Benchmarks that
 # report throughput metrics (BenchmarkThroughput's ops/sec, p50-ms,
@@ -22,7 +24,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-BENCH="${BENCH:-BenchmarkFailover|BenchmarkQASSA_RepairHeavy|BenchmarkEvalProbe|BenchmarkParetoProbe|BenchmarkParetoSelect|BenchmarkQASSA_Services|BenchmarkExhaustiveBaseline|BenchmarkGreedyBaseline|BenchmarkDistributedChurn|BenchmarkThroughput|BenchmarkOpenLoop|BenchmarkRegistryOps}"
+BENCH="${BENCH:-BenchmarkFailover|BenchmarkQASSA_RepairHeavy|BenchmarkEvalProbe|BenchmarkParetoProbe|BenchmarkParetoSelect|BenchmarkQASSA_Services|BenchmarkExhaustiveBaseline|BenchmarkGreedyBaseline|BenchmarkDistributedChurn|BenchmarkThroughput|BenchmarkOpenLoop|BenchmarkRegistryOps|BenchmarkRegistryCandidates}"
 OUT="${OUT:-BENCH_qassa.json}"
 CPUS="${CPUS:-1,2}"
 PROFDIR="${PROFDIR:-bench-profiles}"
@@ -54,9 +56,11 @@ trap 'rm -rf "$paretodir"' EXIT
 go run ./cmd/qasombench -exp pareto -csv "$paretodir" >/dev/null
 go run ./cmd/qasombench -exp openloop -csv "$paretodir" >/dev/null
 
+host=$(sh scripts/hostfacts.sh)
+
 {
-	echo "$raw" | awk '
-BEGIN { print "{"; first = 1 }
+	echo "$raw" | HOSTFACTS="$host" awk '
+BEGIN { print "{"; printf "  \"_host\": %s", ENVIRON["HOSTFACTS"]; first = 0 }
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)

@@ -34,11 +34,14 @@ BASE="${BASE:-BENCH_qassa.json}"
 # BenchmarkParetoProbe gates the multi-objective vector probe (must stay
 # O(path) and zero-alloc, within a few x of the scalar EvalProbe);
 # BenchmarkParetoSelect gates both front-mode regimes end to end.
+# BenchmarkEvalProbe/probe gates the global phase's non-mutating
+# violation probe (zero allocations); BenchmarkRegistryCandidates gates
+# the memoized candidate lookup (one allocation: the caller's copy).
 # BenchmarkOpenLoop gates the open-loop serving path (dispatcher + queue
 # + workers + coordinated-omission-safe capture): its ns/op is per
 # arrival at a fixed offered rate, so the alloc/byte budgets guard the
 # harness overhead rather than the wall clock.
-BENCH="${BENCH:-BenchmarkFailover|BenchmarkQASSA_RepairHeavy|BenchmarkEvalProbe|BenchmarkParetoProbe|BenchmarkParetoSelect|BenchmarkQASSA_Services|BenchmarkExhaustiveBaseline|BenchmarkGreedyBaseline|BenchmarkDistributedChurn|BenchmarkThroughput|BenchmarkOpenLoop}"
+BENCH="${BENCH:-BenchmarkFailover|BenchmarkQASSA_RepairHeavy|BenchmarkEvalProbe|BenchmarkParetoProbe|BenchmarkParetoSelect|BenchmarkQASSA_Services|BenchmarkExhaustiveBaseline|BenchmarkGreedyBaseline|BenchmarkDistributedChurn|BenchmarkThroughput|BenchmarkOpenLoop|BenchmarkRegistryCandidates}"
 # The sharded-registry benchmarks are gated at the 100k population only:
 # the 1M rigs exist for the recorded scale-out table, not for a quick
 # regression pass (component-wise -bench regex, hence a separate run).
@@ -51,6 +54,12 @@ if [ ! -f "$BASE" ]; then
 	echo "benchcmp: baseline $BASE missing" >&2
 	exit 1
 fi
+
+# ns/op depends on the machine: show which host recorded the baseline
+# next to the one running now.
+base_host=$(sed -n 's/^[[:space:]]*"_host":[[:space:]]*\(.*\}\),\{0,1\}$/\1/p' "$BASE")
+echo "benchcmp: baseline host: ${base_host:-unrecorded}" >&2
+echo "benchcmp: current host:  $(sh scripts/hostfacts.sh)" >&2
 
 raw=""
 i=1
