@@ -695,38 +695,6 @@ func BenchmarkThroughput(b *testing.B) {
 	b.ReportMetric(res.SLOAttainment*100, "slo%")
 }
 
-// BenchmarkOpenLoop is the open-loop serving benchmark: arrivals are
-// scheduled from a clock at a fixed rate (10k/s, constant process, no
-// churn) and every latency is measured from the scheduled arrival — the
-// coordinated-omission-safe regime. ns/op is pinned near the arrival
-// period by construction, so the gated signal is B/op and allocs/op
-// (the per-arrival cost of the whole open-loop path); the custom
-// metrics report goodput, shed arrivals and the tail quantiles.
-func BenchmarkOpenLoop(b *testing.B) {
-	rig, err := bench.NewOpenLoopRig(bench.OpenLoopConfig{
-		Rate:    10000,
-		Process: bench.OpenLoopConstant,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := rig.Warm(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	res, err := rig.Run(b.N)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	b.ReportMetric(res.Achieved, "arrv/sec")
-	b.ReportMetric(float64(res.Dropped), "ol-drops")
-	b.ReportMetric(float64(res.P50)/float64(time.Microsecond), "ol-p50-us")
-	b.ReportMetric(float64(res.P99)/float64(time.Microsecond), "ol-p99-us")
-	b.ReportMetric(float64(res.P999)/float64(time.Microsecond), "ol-p999-us")
-}
-
 // BenchmarkComposeFacade measures the full public-API composition path
 // (registry resolution + QASSA).
 func BenchmarkComposeFacade(b *testing.B) {
@@ -821,9 +789,15 @@ func BenchmarkRegistryOps(b *testing.B) {
 			suffix := fmt.Sprintf("s=%d/n=%s", shards, size.label)
 			b.Run("op=lookup/"+suffix, func(b *testing.B) {
 				rig := registryOpsRig(b, shards, size.n)
-				if got := rig.reg.Candidates(rig.caps[0], ps); len(got) == 0 {
-					b.Fatal("warm-up lookup found no candidates")
+				// Build every capability's per-epoch memo and collect the
+				// set-up garbage before timing, so the timed loop measures
+				// memoized lookups only.
+				for _, c := range rig.caps {
+					if got := rig.reg.Candidates(c, ps); len(got) == 0 {
+						b.Fatalf("warm-up lookup of %s found no candidates", c)
+					}
 				}
+				runtime.GC()
 				b.ReportAllocs()
 				b.SetParallelism(4)
 				var next, empty atomic.Int64

@@ -31,13 +31,14 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-# The differential suites compare decisions bit for bit and must not
-# depend on scheduling: run them on one core and on every core, several
-# times, so an assertion on a scheduler-dependent observation fails on
-# the first multi-core pass instead of by luck.
+# The differential suites and the golden decision digest compare
+# decisions bit for bit and must not depend on scheduling: run them on
+# one core and on every core, several times, so an assertion on a
+# scheduler-dependent observation fails on the first multi-core pass
+# instead of by luck.
 for procs in 1 "$(nproc)"; do
-	echo "== GOMAXPROCS=$procs go test -count=3 -run TestDifferential . ./internal/core ./internal/baseline ./internal/registry"
-	GOMAXPROCS=$procs go test -count=3 -run 'TestDifferential' . ./internal/core ./internal/baseline ./internal/registry
+	echo "== GOMAXPROCS=$procs go test -count=3 -run 'TestDifferential|TestDecisionDigest' . ./internal/core ./internal/baseline ./internal/registry"
+	GOMAXPROCS=$procs go test -count=3 -run 'TestDifferential|TestDecisionDigest' . ./internal/core ./internal/baseline ./internal/registry
 done
 
 if [ "${1:-}" = "quick" ]; then

@@ -126,6 +126,10 @@ func (m *Middleware) ComposeContext(ctx context.Context, req Request) (*Composit
 // applied around it. rec is filled in as the pipeline progresses so a
 // failed call still documents how far it got.
 func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestRecord) (*Composition, error) {
+	cacheable, err := m.selectionMode(&req)
+	if err != nil {
+		return nil, err
+	}
 	resolveStart := time.Now()
 	_, resolveSpan := obs.StartSpan(ctx, "compose.resolve")
 	resolved, err := m.resolveTask(req.Task)
@@ -138,12 +142,6 @@ func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestR
 	}
 	t := resolved.task
 	rec.Task = fmt.Sprintf("%016x", resolved.fp)
-	if m.opts.ParetoMode && req.Distributed {
-		return nil, fmt.Errorf("qasom: ParetoMode selections are centralized-only: per-coordinator fronts cannot be merged by the distributed protocol")
-	}
-	if !m.opts.ParetoMode && len(req.Objectives) > 0 {
-		return nil, fmt.Errorf("qasom: Objectives require a middleware created with Options.ParetoMode")
-	}
 	coreReq := &core.Request{
 		Task:       t,
 		Properties: m.props,
@@ -185,11 +183,6 @@ func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestR
 	// completed plan can be replayed verbatim as long as no capability the
 	// task touches has changed — which the registry epochs certify. The
 	// snapshot is taken before candidate lookup (see planEpochs).
-	// Dependency-carrying requests bypass the cache: rules are not part
-	// of the plan key, so two requests differing only in rules would
-	// collide. (Pareto mode never reaches here with a live cache — New
-	// disables it.)
-	cacheable := m.plans != nil && !req.Distributed && len(req.Dependencies) == 0
 	var planKey string
 	var planEpochSnap []uint64
 	if cacheable {
@@ -239,11 +232,8 @@ func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestR
 		// degradation fallback: a lost coordinator downgrades the
 		// selection (Stats.Fallbacks, Result.Degraded) instead of
 		// failing the composition.
-		res, err = core.NewResilientDistributedSelector(
-			core.Options{K: m.opts.K, MaxAlternates: m.opts.MaxAlternates, Seed: m.opts.Seed, Workers: m.opts.Workers},
-			replicas,
-			core.DistConfig{Fallback: candidates},
-		).Select(ctx, coreReq)
+		res, err = core.NewResilientDistributedSelector(m.opts, replicas,
+			core.DistConfig{Fallback: candidates}).Select(ctx, coreReq)
 	} else {
 		res, err = m.selector.SelectContext(ctx, coreReq, candidates)
 	}
@@ -265,6 +255,23 @@ func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestR
 		m.plans.put(planKey, planEpochSnap, res)
 	}
 	return m.wrapComposition(coreReq, res), nil
+}
+
+// selectionMode applies every request-level rule of the middleware's
+// selection mode and reports whether the request may use the plan cache.
+// Pareto fronts come from the centralized selector only, and Objectives
+// mean nothing to a scalar middleware. Distributed selections are never
+// cached, and neither are dependency-carrying requests: rules are not
+// part of the plan key, so two requests differing only in rules would
+// collide. (New already disabled the cache for Pareto mode.)
+func (m *Middleware) selectionMode(req *Request) (cacheable bool, err error) {
+	if m.opts.ParetoMode && req.Distributed {
+		return false, fmt.Errorf("qasom: ParetoMode selections are centralized-only: per-coordinator fronts cannot be merged by the distributed protocol")
+	}
+	if !m.opts.ParetoMode && len(req.Objectives) > 0 {
+		return false, fmt.Errorf("qasom: Objectives require a middleware created with Options.ParetoMode")
+	}
+	return m.plans != nil && !req.Distributed && len(req.Dependencies) == 0, nil
 }
 
 // fillSelectionRecord copies the selection outcome into the flight

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"qasom"
+	"qasom/internal/bench"
 	"qasom/internal/obs"
 	"qasom/internal/qos"
 	"qasom/internal/registry"
@@ -131,5 +132,38 @@ func TestHotPathsAcquireNoMutexes(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// warmComposeAllocBudget is the allocation ceiling of one warm plan-cache
+// hit of the serving rig's request: parse-free task resolution, plan key,
+// cache probe, shallow copy-out, composition wrapper, span and flight
+// record. The count does not depend on host speed, so it gates the
+// serving path's per-request cost on any machine.
+const warmComposeAllocBudget = 33
+
+func TestWarmComposeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	rig, err := bench.NewThroughputRig(bench.ThroughputConfig{Clients: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.Warm(); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := rig.Run(1); err != nil {
+		t.Fatal(err)
+	} else if res.HitRate != 1 {
+		t.Fatalf("warm compose hit rate %v, want a plan-cache hit", res.HitRate)
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		if err := rig.Warm(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > warmComposeAllocBudget {
+		t.Errorf("warm compose allocates %.1f times per call, budget %d", allocs, warmComposeAllocBudget)
 	}
 }

@@ -170,7 +170,6 @@ var experiments = func() map[string]*Experiment {
 		baselineExperiments(),
 		mobilityExperiments(),
 		servingExperiments(),
-		openloopExperiments(),
 		registryExperiments(),
 		paretoExperiments(),
 	} {

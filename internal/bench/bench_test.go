@@ -16,8 +16,7 @@ func TestInventoryComplete(t *testing.T) {
 		"ablation-k", "ablation-global", "ablation-seeding", "ablation-preverify",
 		"ablation-pareto", "baselines", "mobility",
 		"serving", "shards", // ROADMAP artefacts: steady-state serving, registry scale-out
-		"openloop", // open-loop (arrival-rate driven) serving latency
-		"pareto",   // multi-objective front quality (DESIGN.md §4j)
+		"pareto", // multi-objective front quality (DESIGN.md §4j)
 	}
 	for _, id := range want {
 		if ByID(id) == nil {

@@ -84,18 +84,19 @@ const servingTask = `<process name="serving-shopping" concept="Shopping">
   </sequence>
 </process>`
 
-// newServingEnv builds the shared serving workload both load rigs
-// (closed-loop ThroughputRig, open-loop OpenLoopRig) measure: a
+// NewThroughputRig builds the closed-loop serving workload: a
 // middleware reporting into a private hub (so runs do not pollute the
 // process-wide registry), the shopping environment published, an
 // attached serving SLO, and the fixed feasible request.
-func newServingEnv(seed int64) (*qasom.Middleware, *obs.SLOEngine, qasom.Request, error) {
-	if seed == 0 {
-		seed = 1
+func NewThroughputRig(cfg ThroughputConfig) (*ThroughputRig, error) {
+	if cfg.Clients <= 0 {
+		cfg.Clients = runtime.GOMAXPROCS(0)
 	}
-	req := qasom.Request{
-		Task:        servingTask,
-		Constraints: []qasom.Constraint{{Property: "responseTime", Bound: 300}},
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
+	if cfg.Ctx == nil {
+		cfg.Ctx = context.Background()
 	}
 	hub := obs.NewHub()
 	slo := obs.NewSLOEngine(obs.SLOConfig{
@@ -104,9 +105,9 @@ func newServingEnv(seed int64) (*qasom.Middleware, *obs.SLOEngine, qasom.Request
 		LatencyObjective: servingSLOLatency,
 	}, hub.Metrics)
 	hub.SLO = slo
-	mw, err := qasom.New(qasom.Options{Seed: seed, Obs: hub})
+	mw, err := qasom.New(qasom.Options{Seed: cfg.Seed, Obs: hub})
 	if err != nil {
-		return nil, nil, req, err
+		return nil, err
 	}
 	for _, spec := range []struct{ prefix, capability string }{
 		{"browse", "BrowseCatalog"}, {"order", "OrderItem"}, {"pay", "CardPayment"},
@@ -121,67 +122,17 @@ func newServingEnv(seed int64) (*qasom.Middleware, *obs.SLOEngine, qasom.Request
 				},
 			})
 			if err != nil {
-				return nil, nil, req, err
+				return nil, err
 			}
 		}
-	}
-	return mw, slo, req, nil
-}
-
-// startServingChurn runs the background publisher/withdrawer of the
-// serving rigs until the returned stop function is called: mostly
-// capabilities the task does not touch (the cache must keep hitting),
-// with every 32nd cycle churning a touched capability to force an epoch
-// invalidation and a fresh selection.
-func startServingChurn(mw *qasom.Middleware) (stop func()) {
-	stopCh := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stopCh:
-				return
-			default:
-			}
-			capability, id := "LabAnalysis", fmt.Sprintf("churn-lab-%d", i%4)
-			if i%32 == 31 {
-				capability, id = "OrderItem", fmt.Sprintf("churn-order-%d", i%4)
-			}
-			_ = mw.Publish(qasom.Service{
-				ID: id, Capability: capability,
-				QoS: map[string]float64{
-					"responseTime": 35, "price": 4,
-					"availability": 0.96, "reliability": 0.92, "throughput": 45,
-				},
-			})
-			mw.Withdraw(id)
-			time.Sleep(100 * time.Microsecond)
-		}
-	}()
-	return func() {
-		close(stopCh)
-		wg.Wait()
-	}
-}
-
-// NewThroughputRig builds the closed-loop serving workload.
-func NewThroughputRig(cfg ThroughputConfig) (*ThroughputRig, error) {
-	if cfg.Clients <= 0 {
-		cfg.Clients = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Ctx == nil {
-		cfg.Ctx = context.Background()
-	}
-	mw, slo, req, err := newServingEnv(cfg.Seed)
-	if err != nil {
-		return nil, err
 	}
 	return &ThroughputRig{
-		mw:      mw,
-		slo:     slo,
-		req:     req,
+		mw:  mw,
+		slo: slo,
+		req: qasom.Request{
+			Task:        servingTask,
+			Constraints: []qasom.Constraint{{Property: "responseTime", Bound: 300}},
+		},
 		clients: cfg.Clients,
 		churn:   cfg.Churn,
 		ctx:     cfg.Ctx,
@@ -204,9 +155,36 @@ func (r *ThroughputRig) Run(ops int) (ThroughputResult, error) {
 	if ops < 1 {
 		ops = 1
 	}
-	var stopChurn func()
+	// The churner (ThroughputConfig.Churn) publishes and withdraws an
+	// untouched capability; every 32nd cycle it churns OrderItem, which
+	// the task touches.
+	stopChurn := make(chan struct{})
+	var churner sync.WaitGroup
 	if r.churn {
-		stopChurn = startServingChurn(r.mw)
+		churner.Add(1)
+		go func() {
+			defer churner.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stopChurn:
+					return
+				default:
+				}
+				capability, id := "LabAnalysis", fmt.Sprintf("churn-lab-%d", i%4)
+				if i%32 == 31 {
+					capability, id = "OrderItem", fmt.Sprintf("churn-order-%d", i%4)
+				}
+				_ = r.mw.Publish(qasom.Service{
+					ID: id, Capability: capability,
+					QoS: map[string]float64{
+						"responseTime": 35, "price": 4,
+						"availability": 0.96, "reliability": 0.92, "throughput": 45,
+					},
+				})
+				r.mw.Withdraw(id)
+				time.Sleep(100 * time.Microsecond)
+			}
+		}()
 	}
 
 	var next atomic.Int64
@@ -232,7 +210,8 @@ func (r *ThroughputRig) Run(ops int) (ThroughputResult, error) {
 				}
 				opStart := time.Now()
 				comp, err := r.mw.ComposeContext(r.ctx, r.req)
-				r.slo.Observe(time.Since(opStart), err)
+				d := time.Since(opStart)
+				r.slo.Observe(d, err)
 				if err != nil {
 					if r.ctx.Err() != nil {
 						cancelled.Store(true)
@@ -241,7 +220,7 @@ func (r *ThroughputRig) Run(ops int) (ThroughputResult, error) {
 					errs[c] = err
 					break
 				}
-				lats = append(lats, time.Since(opStart))
+				lats = append(lats, d)
 				done.Add(1)
 				if comp.SelectionStats().CacheHit {
 					hits.Add(1)
@@ -252,9 +231,8 @@ func (r *ThroughputRig) Run(ops int) (ThroughputResult, error) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	if stopChurn != nil {
-		stopChurn()
-	}
+	close(stopChurn)
+	churner.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return ThroughputResult{}, err

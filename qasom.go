@@ -210,8 +210,8 @@ type Middleware struct {
 	plans     *planCache
 	docs      *internTable
 	subst     *subidx.Tracker
-	opts      Options
-	tenant    string // tenant label on metrics and flight records ("default" for the zero tenant)
+	opts      core.Options // the one selection configuration New resolves
+	tenant    string       // tenant label on metrics and flight records ("default" for the zero tenant)
 }
 
 // composeMetrics bundles the façade's registry handles, created once in
@@ -304,20 +304,21 @@ func New(opts ...Options) (*Middleware, error) {
 		store = registry.NewStore(onto, registry.StoreOptions{Obs: o.Obs.Metrics})
 	}
 	reg := store.Tenant(registry.TenantID(o.TenantID))
+	sel := core.Options{K: o.K, MaxAlternates: o.MaxAlternates, Seed: o.Seed, Workers: o.Workers, ParetoMode: o.ParetoMode}
 	m := &Middleware{
 		ontology:  onto,
 		props:     ps,
 		reg:       reg,
 		repo:      task.NewRepository(onto),
 		env:       simenv.New(ps, reg, simenv.Options{Seed: o.Seed}),
-		selector:  core.NewSelector(core.Options{K: o.K, MaxAlternates: o.MaxAlternates, Seed: o.Seed, Workers: o.Workers, ParetoMode: o.ParetoMode}),
+		selector:  core.NewSelector(sel),
 		mon:       monitor.New(ps, monitor.Options{Obs: o.Obs}),
 		contracts: contract.NewManager(ps, onto),
 		obs:       o.Obs,
 		met:       composeMetricsFor(o.Obs, tenantLabel(o.TenantID)),
 		plans:     newPlanCache(o.SelectionCacheSize, o.Obs.Metrics),
 		docs:      newInternTable(),
-		opts:      o,
+		opts:      sel,
 		tenant:    tenantLabel(o.TenantID),
 	}
 	m.subst = subidx.NewTracker(reg, m.mon, subidx.Options{Metrics: o.Obs.Metrics})

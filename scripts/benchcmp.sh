@@ -37,11 +37,9 @@ BASE="${BASE:-BENCH_qassa.json}"
 # BenchmarkEvalProbe/probe gates the global phase's non-mutating
 # violation probe (zero allocations); BenchmarkRegistryCandidates gates
 # the memoized candidate lookup (one allocation: the caller's copy).
-# BenchmarkOpenLoop gates the open-loop serving path (dispatcher + queue
-# + workers + coordinated-omission-safe capture): its ns/op is per
-# arrival at a fixed offered rate, so the alloc/byte budgets guard the
-# harness overhead rather than the wall clock.
-BENCH="${BENCH:-BenchmarkFailover|BenchmarkQASSA_RepairHeavy|BenchmarkEvalProbe|BenchmarkParetoProbe|BenchmarkParetoSelect|BenchmarkQASSA_Services|BenchmarkExhaustiveBaseline|BenchmarkGreedyBaseline|BenchmarkDistributedChurn|BenchmarkThroughput|BenchmarkOpenLoop|BenchmarkRegistryCandidates}"
+# The warm compose path's allocation count is gated host-independently
+# by TestWarmComposeAllocBudget in the root package.
+BENCH="${BENCH:-BenchmarkFailover|BenchmarkQASSA_RepairHeavy|BenchmarkEvalProbe|BenchmarkParetoProbe|BenchmarkParetoSelect|BenchmarkQASSA_Services|BenchmarkExhaustiveBaseline|BenchmarkGreedyBaseline|BenchmarkDistributedChurn|BenchmarkThroughput|BenchmarkRegistryCandidates}"
 # The sharded-registry benchmarks are gated at the 100k population only:
 # the 1M rigs exist for the recorded scale-out table, not for a quick
 # regression pass (component-wise -bench regex, hence a separate run).
