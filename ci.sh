@@ -59,13 +59,13 @@ if [ "${1:-}" = "quick" ]; then
 	# (QASSA vs the exhaustive reference front, both eval kernels).
 	echo "== go test -race -run TestDifferential . ./internal/core ./internal/baseline ./internal/registry (quick)"
 	go test -race -run 'TestDifferential' . ./internal/core ./internal/baseline ./internal/registry
-	# The failover suite races the substitution index: lock-free
-	# lookups against watch/health churn in subidx, and the adapt
-	# package's concurrent-substitution exactly-once, differential
-	# decision-identity and churn-during-failover tests.
+	# The failover suite races the alternate scan: concurrent
+	# substitutions in runtimes sharing one selection and one manager
+	# (exactly once, no duplicate binding), parallel failures through the
+	# executor, failovers under registry churn, the dependency
+	# differential and the detached Result copy.
 	echo "== go test -race failover suite (quick)"
-	go test -race ./internal/subidx
-	go test -race -run 'TestDifferential|TestIndex|TestConcurrent|TestExecutor|TestStaged|TestResult' ./internal/adapt
+	go test -race -run 'TestDifferential|TestConcurrent|TestExecutor|TestSubstituteUnderRegistryChurn|TestResult' ./internal/adapt
 	# The multicore hot-path suite: raced lock-free reads in the registry
 	# (torn-publish check, fresh-key visibility, rejection of slices
 	# published across an index rebuild, memoized candidate resolutions
@@ -74,11 +74,13 @@ if [ "${1:-}" = "quick" ]; then
 	# table under a concurrent flood of distinct documents, isolation of
 	# the shared cached plans from concurrent substitutions (the runtime
 	# copies a shared selection on its first commit), concurrent contract
-	# establishment, and the mutex-profile assertion that the warm read
-	# paths, task resolution included, acquire zero locks.
+	# establishment, the mutex-profile assertion that the warm read
+	# paths, task resolution included, acquire zero locks, and the check
+	# that a middleware's lifecycle, failover included, starts no
+	# goroutine that outlives it.
 	echo "== go test -race hot-path suite (quick)"
 	go test -race -run 'TestRacedSnapshotReads|TestRacedFreshKeyVisibility|TestRebuildInvalidatesStalePublications|TestRacedMemoLookups' ./internal/registry
-	go test -race -run 'TestPlanCacheRaced|TestInternConcurrentFlood|TestSharedPlanIsolation|TestConcurrentContracts|TestHotPathsAcquireNoMutexes' .
+	go test -race -run 'TestPlanCacheRaced|TestInternConcurrentFlood|TestSharedPlanIsolation|TestConcurrentContracts|TestHotPathsAcquireNoMutexes|TestLifecycleLeavesNoGoroutines' .
 	go test -race -run 'TestRuntimeCopyOnFirstWrite' ./internal/adapt
 	# The distributed failure matrix exercises the resilience layer's
 	# concurrency (hedged requests, breaker state, prompt cancellation);

@@ -17,7 +17,6 @@ import (
 	"qasom/internal/qos"
 	"qasom/internal/registry"
 	"qasom/internal/semantics"
-	"qasom/internal/subidx"
 	"qasom/internal/task"
 )
 
@@ -51,27 +50,6 @@ func (m *Middleware) TaskClasses() []string { return m.repo.Names() }
 type Composition struct {
 	mw      *Middleware
 	runtime *adapt.Runtime
-	manager *adapt.Manager
-	// trackOnce defers substitution-index registration to the first
-	// Execute: compose-only workloads (the serving hot path) never touch
-	// the tracker.
-	trackOnce sync.Once
-}
-
-// track registers the runtime with the substitution-index tracker and
-// wires the behavioural-alternate stager. Idempotent; called at the top
-// of Execute so a ranked replacement list is warm before the first
-// invocation.
-func (c *Composition) track() {
-	c.trackOnce.Do(func() {
-		manager, runtime := c.manager, c.runtime
-		idx := c.mw.subst.Track(runtime)
-		idx.SetStager(
-			func() string { return manager.FrontierKey(runtime) },
-			func() *subidx.StagedBehaviours { return manager.StageBehaviours(runtime) },
-		)
-		manager.Index = idx
-	})
 }
 
 // Compose resolves the request: it parses the task, gathers candidate
@@ -291,25 +269,10 @@ func fillSelectionRecord(rec *obs.RequestRecord, res *core.Result) {
 	rec.Bindings = res.BindingRecords()
 }
 
-// wrapComposition attaches the adaptation runtime and manager to a
-// selection result (freshly computed or replayed from the plan cache).
-// Substitution-index registration is deferred to the first Execute (see
-// Composition.track) so the compose hot path pays nothing for it.
+// wrapComposition attaches an adaptation runtime to a selection result
+// (freshly computed or replayed from the plan cache).
 func (m *Middleware) wrapComposition(coreReq *core.Request, res *core.Result) *Composition {
-	manager := &adapt.Manager{
-		Registry: m.reg,
-		Repo:     m.repo,
-		Selector: m.selector,
-		Monitor:  m.mon,
-		Obs:      m.obs,
-	}
-	manager.Options.Match.AllowSubsume = true
-	manager.Options.Match.AllowMerge = true
-	return &Composition{
-		mw:      m,
-		runtime: adapt.NewRuntime(coreReq, res),
-		manager: manager,
-	}
+	return &Composition{mw: m, runtime: adapt.NewRuntime(coreReq, res)}
 }
 
 // resolvedTask is an immutable resolution of a request's task spec: the
@@ -614,22 +577,6 @@ func (m *Middleware) Execute(ctx context.Context, c *Composition) (*Report, erro
 		if report.BehaviourSwitches > 0 {
 			rec.Events = append(rec.Events, fmt.Sprintf("behaviour-switches=%d", report.BehaviourSwitches))
 		}
-		// Failover accounting: how the substitutions of this (and
-		// previous) executions of the composition were served.
-		fs := c.runtime.FailoverStats()
-		if fs.IndexHits > 0 {
-			rec.Events = append(rec.Events, fmt.Sprintf("failover-index-hits=%d", fs.IndexHits))
-		}
-		if len(fs.Fallbacks) > 0 {
-			causes := make([]string, 0, len(fs.Fallbacks))
-			for cause := range fs.Fallbacks {
-				causes = append(causes, cause)
-			}
-			sort.Strings(causes)
-			for _, cause := range causes {
-				rec.Events = append(rec.Events, fmt.Sprintf("failover-fallback-%s=%d", cause, fs.Fallbacks[cause]))
-			}
-		}
 		if retErr != nil {
 			rec.Err = retErr.Error()
 		}
@@ -643,15 +590,6 @@ func (m *Middleware) Execute(ctx context.Context, c *Composition) (*Report, erro
 		c.runtime.ResetProgress()
 	}
 
-	// Warm the substitution index before the first invocation: the first
-	// Execute registers the composition with the tracker, and a cold or
-	// evicted index builds synchronously here (off the failure path), so
-	// failures during this execution resolve with a lock-free lookup.
-	c.track()
-	if c.manager.Index != nil {
-		c.manager.Index.BuildNow()
-	}
-
 	for round := 0; round < 4; round++ {
 		remaining, ok := c.remainingTask()
 		if !ok {
@@ -663,8 +601,8 @@ func (m *Middleware) Execute(ctx context.Context, c *Composition) (*Report, erro
 			Invoker:    m.env,
 			Binder:     c.runtime,
 			Monitor:    m.mon,
-			OnFailure:  c.manager.FailureHandler(c.runtime),
-			OnComplete: c.manager.CompletionHook(c.runtime),
+			OnFailure:  c.mw.adapt.FailureHandler(c.runtime),
+			OnComplete: c.mw.adapt.CompletionHook(c.runtime),
 			Options:    exec.Options{Seed: m.opts.Seed + int64(round)},
 		}
 		trace, err := execu.Run(ctx, remaining)
@@ -681,7 +619,7 @@ func (m *Middleware) Execute(ctx context.Context, c *Composition) (*Report, erro
 		}
 		// Substitution exhausted inside the executor: behavioural
 		// adaptation is the second line of defence.
-		if _, aerr := c.manager.AdaptBehaviour(c.runtime); aerr != nil {
+		if _, aerr := c.mw.adapt.AdaptBehaviour(c.runtime); aerr != nil {
 			report.Substitutions = c.runtime.Substitutions()
 			retErr = fmt.Errorf("qasom: execution failed and adaptation impossible: %w (execution: %v)", aerr, err)
 			return report, retErr
@@ -761,7 +699,7 @@ func (c *Composition) Assess(horizon int) Assessment {
 // healthy alternate (the manual trigger for proactive adaptation); it
 // returns the substitute's service ID.
 func (c *Composition) Substitute(activityID string) (string, error) {
-	cand, err := c.manager.Substitute(c.runtime, activityID, nil)
+	cand, err := c.mw.adapt.Substitute(c.runtime, activityID, nil)
 	if err != nil {
 		return "", err
 	}
@@ -817,7 +755,7 @@ func (c *Composition) Heal(horizon int) (*HealReport, error) {
 	if _, done := c.remainingTask(); !done {
 		c.runtime.ResetProgress()
 	}
-	if _, aerr := c.manager.AdaptBehaviour(c.runtime); aerr == nil {
+	if _, aerr := c.mw.adapt.AdaptBehaviour(c.runtime); aerr == nil {
 		report.BehaviourSwitched = true
 	}
 	report.Healthy = c.Assess(horizon).Healthy()

@@ -137,10 +137,11 @@ func TestHotPathsAcquireNoMutexes(t *testing.T) {
 
 // warmComposeAllocBudget is the allocation ceiling of one warm plan-cache
 // hit of the serving rig's request: parse-free task resolution, plan key,
-// cache probe, shallow copy-out, composition wrapper, span and flight
-// record. The count does not depend on host speed, so it gates the
-// serving path's per-request cost on any machine.
-const warmComposeAllocBudget = 33
+// cache probe, shallow copy-out, composition wrapper (one runtime; the
+// adaptation manager is the middleware's), span and flight record. The
+// count does not depend on host speed, so it gates the serving path's
+// per-request cost on any machine.
+const warmComposeAllocBudget = 32
 
 func TestWarmComposeAllocBudget(t *testing.T) {
 	if raceEnabled {

@@ -6,13 +6,11 @@
 // subgraph-homeomorphism matching, then re-run QASSA on the remaining
 // subtask under residual constraints).
 //
-// Failover is index-first: when the manager carries a substitution index
-// (internal/subidx), Substitute resolves the replacement with one
-// lock-free lookup — zero registry or monitor calls on the failure path —
-// and falls back to the reactive alternate scan only when the index is
-// cold, drained, exhausted or raced by a concurrent commit. The reactive
-// scan itself snapshots its decision inputs outside the runtime lock, so
-// even the fallback no longer serializes parallel-branch failovers
+// Failover is the paper's alternate scan: Substitute walks the
+// activity's alternates in rotation order and binds the first one that
+// is still published, healthy and admissible. The scan snapshots its
+// decision inputs under the runtime lock and probes the registry and
+// monitor outside it, so parallel-branch failovers do not serialize
 // against the registry and monitor locks.
 package adapt
 
@@ -21,7 +19,6 @@ import (
 	"maps"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"qasom/internal/core"
 	"qasom/internal/exec"
@@ -31,7 +28,6 @@ import (
 	"qasom/internal/qos"
 	"qasom/internal/registry"
 	"qasom/internal/resilience"
-	"qasom/internal/subidx"
 	"qasom/internal/task"
 )
 
@@ -45,19 +41,17 @@ type Runtime struct {
 	// Req.Task; replaced by behavioural adaptation).
 	Behaviour *task.Task
 
-	// version counts selection mutations (substitution commits and
-	// behaviour switches). Bumped under mu, read lock-free: the
-	// substitution index uses it to discard rebuilds whose snapshot a
-	// concurrent commit made stale.
-	version atomic.Uint64
-
 	// deps is the request's compiled dependency rule set (nil when the
-	// request declares none). Every substitution path — indexed, reactive
-	// and locked — consults it, so failover can never install a binding
-	// that violates a dependency rule.
+	// request declares none). Both the optimistic and the locked scan
+	// consult it, so failover can never install a binding that violates
+	// a dependency rule.
 	deps *core.DependencySet
 
 	mu sync.Mutex
+	// version counts selection mutations (substitution commits and
+	// behaviour switches): the optimistic scan commits only if no other
+	// commit moved it since the snapshot.
+	version uint64
 	// result is the current selection (assignment + alternates). Until
 	// owned is set it is the caller's Result, possibly shared with the
 	// plan cache and other runtimes, and must not be written.
@@ -72,10 +66,6 @@ type Runtime struct {
 	observed map[string]qos.Vector
 	// substitutions counts applied service substitutions.
 	substitutions int
-	// failoverHits counts substitutions served by the index;
-	// failoverFallbacks counts reactive fallbacks by cause.
-	failoverHits      int
-	failoverFallbacks map[string]int
 }
 
 // NewRuntime wraps a selection into a runtime without copying it. res
@@ -100,17 +90,20 @@ func NewRuntime(req *core.Request, res *core.Result) *Runtime {
 	}
 }
 
-// depAdmissibleLocked reports whether binding cand to the activity keeps
-// every dependency rule satisfied under the rest of the current
-// assignment. Caller holds rt.mu. Always true without rules.
-func (rt *Runtime) depAdmissibleLocked(activityID string, cand registry.Candidate) bool {
-	if rt.deps == nil {
-		return true
-	}
-	return rt.deps.Admissible(activityID, cand, func(id string) (registry.Candidate, bool) {
+// admissibleLocked appends to ids the activity's alternates, in rotation
+// order, that keep every dependency rule satisfied under the rest of the
+// current assignment. Caller holds rt.mu.
+func (rt *Runtime) admissibleLocked(activityID string, ids []registry.ServiceID) []registry.ServiceID {
+	bound := func(id string) (registry.Candidate, bool) {
 		c, ok := rt.result.Assignment[id]
 		return c, ok
-	})
+	}
+	for _, alt := range rt.result.Alternates[activityID] {
+		if rt.deps == nil || rt.deps.Admissible(activityID, alt, bound) {
+			ids = append(ids, alt.Service.ID)
+		}
+	}
+	return ids
 }
 
 // ownLocked gives the runtime private copies of the assignment map and
@@ -165,73 +158,6 @@ func (rt *Runtime) Substitutions() int {
 	defer rt.mu.Unlock()
 	return rt.substitutions
 }
-
-// FailoverStats summarizes how this runtime's failovers were served.
-type FailoverStats struct {
-	// IndexHits counts substitutions resolved by the substitution index
-	// (lock-free, zero registry/monitor calls).
-	IndexHits int
-	// Fallbacks counts reactive-scan fallbacks by cause ("cold",
-	// "drained", "exhausted", "raced", "disabled").
-	Fallbacks map[string]int
-}
-
-// FailoverStats returns a copy of the failover accounting.
-func (rt *Runtime) FailoverStats() FailoverStats {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	out := FailoverStats{IndexHits: rt.failoverHits}
-	if len(rt.failoverFallbacks) > 0 {
-		out.Fallbacks = make(map[string]int, len(rt.failoverFallbacks))
-		for k, v := range rt.failoverFallbacks {
-			out.Fallbacks[k] = v
-		}
-	}
-	return out
-}
-
-// noteFallback records one reactive fallback by cause.
-func (rt *Runtime) noteFallback(cause string) {
-	rt.mu.Lock()
-	if rt.failoverFallbacks == nil {
-		rt.failoverFallbacks = make(map[string]int, 4)
-	}
-	rt.failoverFallbacks[cause]++
-	rt.mu.Unlock()
-}
-
-// SelectionVersion returns the runtime's mutation counter without taking
-// the runtime lock (safe to call while the index lock is held).
-func (rt *Runtime) SelectionVersion() uint64 { return rt.version.Load() }
-
-// SelectionSnapshot captures the current selection state for the
-// substitution index: fresh map/slice copies of the assignment and the
-// alternate lists in their current rotation order (candidate values share
-// immutable backing data).
-func (rt *Runtime) SelectionSnapshot() subidx.Snapshot {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	snap := subidx.Snapshot{
-		Version:    rt.version.Load(),
-		Activities: append([]*task.Activity(nil), rt.Behaviour.Activities()...),
-		Assignment: make(map[string]registry.Candidate, len(rt.result.Assignment)),
-		Alternates: make(map[string][]registry.Candidate, len(rt.result.Alternates)),
-		Weights:    rt.Req.EffectiveWeights(),
-		Properties: rt.Req.Properties,
-	}
-	if rt.deps != nil {
-		snap.Mask = rt.deps
-	}
-	for k, v := range rt.result.Assignment {
-		snap.Assignment[k] = v
-	}
-	for k, v := range rt.result.Alternates {
-		snap.Alternates[k] = append([]registry.Candidate(nil), v...)
-	}
-	return snap
-}
-
-var _ subidx.Source = (*Runtime)(nil)
 
 // ResetProgress clears completion tracking so the behaviour can run
 // again (repeated executions of the same composition, e.g. streaming
@@ -304,7 +230,7 @@ func (rt *Runtime) switchBehaviour(newBehaviour *task.Task, sel *core.Result) {
 	// sel is a fresh selection made for this runtime alone.
 	rt.result = sel
 	rt.owned = true
-	rt.version.Add(1)
+	rt.version++
 	// Completed activities of the old behaviour do not exist in the new
 	// one: keep only observations (for consumed QoS the old behaviour's
 	// aggregate was already folded into the residual constraints), and
@@ -320,9 +246,7 @@ func (rt *Runtime) switchBehaviour(newBehaviour *task.Task, sel *core.Result) {
 // Options tune the adaptation manager.
 type Options struct {
 	// MinSuccessRate disqualifies substitutes the monitor has seen
-	// failing more often than this; 0 means 0.5. Must match the
-	// substitution index's threshold when an index is attached (the
-	// facade wires both from the same knob).
+	// failing more often than this; 0 means 0.5.
 	MinSuccessRate float64
 	// Match configures the homeomorphism search of behavioural
 	// adaptation (the manager fills in the registry's ontology when the
@@ -342,7 +266,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Manager coordinates the two adaptation strategies.
+// Manager coordinates the two adaptation strategies. It holds no
+// per-composition state: one manager serves every runtime of a
+// middleware.
 type Manager struct {
 	// Registry resolves candidate services.
 	Registry *registry.Registry
@@ -352,153 +278,49 @@ type Manager struct {
 	Selector *core.Selector
 	// Monitor, when set, filters substitutes by observed health.
 	Monitor *monitor.Monitor
-	// Index, when set, serves failovers from the substitution index;
-	// nil keeps the fully reactive behaviour.
-	Index *subidx.Index
-	// Obs, when set, exports adaptation counters (substitutions,
-	// behaviour switches, failover causes) into the hub's metrics
-	// registry.
-	Obs *obs.Hub
+	// Metrics are the adaptation counters (see NewMetrics); the zero
+	// value counts nothing.
+	Metrics Metrics
 	// Options tune the strategies.
 	Options Options
 }
 
-const (
-	behaviourSwitchMetric = "qasom_adapt_behaviour_switches_total"
-	behaviourSwitchHelp   = "Behavioural adaptations applied (behaviour switched to an equivalent task)."
-
-	substitutionMetric = "qasom_adapt_substitutions_total"
-	substitutionHelp   = "Service substitutions applied by the adaptation manager."
-
-	failoverHitMetric = "qasom_adapt_failover_index_hits_total"
-	failoverHitHelp   = "Failovers resolved by a lock-free substitution-index lookup."
-
-	failoverFallbackMetric = "qasom_adapt_failover_fallbacks_total"
-	failoverFallbackHelp   = "Failovers that fell back to the reactive alternate scan, by cause."
-
-	failoverRegistryChecksMetric = "qasom_adapt_failover_registry_checks_total"
-	failoverRegistryChecksHelp   = "Registry liveness probes performed on the failover path (zero on index hits)."
-
-	failoverMonitorChecksMetric = "qasom_adapt_failover_monitor_checks_total"
-	failoverMonitorChecksHelp   = "Monitor health probes performed on the failover path (zero on index hits)."
-)
-
-// counter fetches a registry counter; nil (a no-op) without a hub.
-func (m *Manager) counter(name, help string) *obs.Counter {
-	if m.Obs == nil {
-		return nil
-	}
-	return m.Obs.Metrics.Counter(name, help)
+// Metrics are the manager's counters, resolved once from a metrics
+// registry so the failover scan never looks a counter up by name.
+type Metrics struct {
+	substitutions     *obs.Counter
+	behaviourSwitches *obs.Counter
+	registryChecks    *obs.Counter
+	monitorChecks     *obs.Counter
 }
 
-// fallbackCounter fetches the per-cause fallback counter; nil without a
-// hub.
-func (m *Manager) fallbackCounter(cause string) *obs.Counter {
-	if m.Obs == nil {
-		return nil
+// NewMetrics resolves the adaptation counters in the hub's metrics
+// registry; a nil hub yields the zero (no-op) Metrics.
+func NewMetrics(hub *obs.Hub) Metrics {
+	if hub == nil {
+		return Metrics{}
 	}
-	return m.Obs.Metrics.CounterVec(failoverFallbackMetric, failoverFallbackHelp, "cause").With(cause)
+	r := hub.Metrics
+	return Metrics{
+		substitutions: r.Counter("qasom_adapt_substitutions_total",
+			"Service substitutions applied by the adaptation manager."),
+		behaviourSwitches: r.Counter("qasom_adapt_behaviour_switches_total",
+			"Behavioural adaptations applied (behaviour switched to an equivalent task)."),
+		registryChecks: r.Counter("qasom_adapt_failover_registry_checks_total",
+			"Registry liveness probes performed by the failover scan."),
+		monitorChecks: r.Counter("qasom_adapt_failover_monitor_checks_total",
+			"Monitor health probes performed by the failover scan."),
+	}
 }
 
 // ErrNoSubstitute is wrapped when no alternate can replace a service.
 var ErrNoSubstitute = fmt.Errorf("adapt: no substitute available")
 
-// Substitute replaces the service bound to an activity by the best
-// alternate that is still published, healthy and not excluded. It
-// updates the runtime's assignment and returns the substitute.
-//
-// With an index attached the replacement is resolved by one lock-free
-// lookup (no registry or monitor calls); the reactive scan runs only
-// when the index is cold, drained, exhausted, or its pick was raced by a
-// concurrent selection change. Both paths commit the same rotation: the
-// chosen alternate leaves the list, the displaced binding rejoins it at
-// the tail.
-func (m *Manager) Substitute(rt *Runtime, activityID string, exclude map[registry.ServiceID]bool) (registry.Candidate, error) {
-	if m.Index != nil {
-		cand, out := m.Index.Lookup(activityID, exclude)
-		if out == subidx.Hit {
-			if applied, cause := m.commitIndexed(rt, activityID, cand); applied {
-				m.counter(failoverHitMetric, failoverHitHelp).Inc()
-				return cand, nil
-			} else {
-				rt.noteFallback(cause)
-				m.fallbackCounter(cause).Inc()
-			}
-		} else {
-			rt.noteFallback(out.String())
-			m.fallbackCounter(out.String()).Inc()
-		}
-	}
-	return m.substituteReactive(rt, activityID, exclude)
-}
+// maxOptimisticScans bounds the unlocked rescans of Substitute before it
+// degrades to the fully locked scan.
+const maxOptimisticScans = 4
 
-// commitIndexed applies an index-resolved substitution to the runtime,
-// keeping the alternate rotation in lockstep with the index. It fails
-// (returning false with a fallback cause, caller runs the reactive scan)
-// when the runtime no longer matches the lookup — the activity is
-// unbound (a behaviour switch raced us) or the pick is already bound —
-// or when the pick would violate a dependency rule under the CURRENT
-// assignment (the index filtered against the assignment it was built
-// from; an adjacent substitution may have shifted the admissible set
-// since).
-func (m *Manager) commitIndexed(rt *Runtime, activityID string, chosen registry.Candidate) (bool, string) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	old, bound := rt.result.Assignment[activityID]
-	if !bound || old.Service.ID == chosen.Service.ID {
-		return false, "raced"
-	}
-	if !rt.depAdmissibleLocked(activityID, chosen) {
-		return false, "dependency"
-	}
-	rt.ownLocked()
-	alts := rt.result.Alternates[activityID]
-	pos := -1
-	for i := range alts {
-		if alts[i].Service.ID == chosen.Service.ID {
-			pos = i
-			break
-		}
-	}
-	if pos >= 0 {
-		chosen = alts[pos]
-		// Rotate in place: drop the chosen alternate, displaced binding
-		// rejoins at the tail. No reallocation on the failure path.
-		copy(alts[pos:], alts[pos+1:])
-		if old.Service.ID != "" {
-			alts[len(alts)-1] = old
-		} else {
-			alts = alts[:len(alts)-1]
-		}
-		rt.result.Alternates[activityID] = alts
-	} else {
-		// The pick is an index-inserted extra (published after
-		// selection): nothing to remove, the displaced binding still
-		// rejoins the rotation.
-		if old.Service.ID != "" {
-			rt.result.Alternates[activityID] = append(alts, old)
-		}
-	}
-	rt.result.Assignment[activityID] = chosen
-	rt.substitutions++
-	rt.failoverHits++
-	rt.version.Add(1)
-	m.Index.Commit(activityID, chosen.Service.ID, old)
-	if rt.deps.Touches(activityID) {
-		// The swap may have shifted which replacements are admissible for
-		// dependency-adjacent activities: schedule a refilter off the
-		// failure path (stale lists stay safe — commits revalidate here).
-		m.Index.MarkDirty()
-	}
-	m.counter(substitutionMetric, substitutionHelp).Inc()
-	return true, ""
-}
-
-// maxReactiveRetries bounds optimistic rescans of the reactive path
-// before it degrades to the fully locked scan.
-const maxReactiveRetries = 4
-
-// idScratch pools the candidate-ID snapshot slices of the reactive scan.
+// idScratch pools the candidate-ID snapshot slices of the failover scan.
 var idScratch = sync.Pool{
 	New: func() any {
 		s := make([]registry.ServiceID, 0, 16)
@@ -506,66 +328,63 @@ var idScratch = sync.Pool{
 	},
 }
 
-// substituteReactive is the fallback scan. Unlike the pre-index
-// implementation it does NOT hold the runtime lock while probing the
-// registry and monitor: it snapshots the candidate IDs (and the
-// runtime's mutation version) under the lock, probes outside it, then
-// revalidates and commits. A concurrent commit triggers a bounded
-// rescan; past the bound the scan runs fully locked, which guarantees
-// termination at the cost of the old serialization.
-func (m *Manager) substituteReactive(rt *Runtime, activityID string, exclude map[registry.ServiceID]bool) (registry.Candidate, error) {
-	opts := m.Options.withDefaults()
+// Substitute replaces the service bound to an activity by the first
+// alternate, in rotation order, that is not excluded, still published,
+// healthy and dependency-admissible. It commits the rotation — the
+// chosen alternate leaves the list, the displaced binding rejoins it at
+// the tail — and returns the substitute.
+//
+// The scan does not hold the runtime lock while probing the registry
+// and monitor: it snapshots the candidate IDs (and the runtime's
+// mutation version) under the lock, probes outside it, then revalidates
+// and commits. A concurrent commit triggers a bounded rescan; past the
+// bound the scan runs fully locked, which guarantees termination.
+func (m *Manager) Substitute(rt *Runtime, activityID string, exclude map[registry.ServiceID]bool) (registry.Candidate, error) {
+	minRate := m.Options.withDefaults().MinSuccessRate
 	ids := idScratch.Get().(*[]registry.ServiceID)
 	defer func() {
 		*ids = (*ids)[:0]
 		idScratch.Put(ids)
 	}()
-	for attempt := 0; attempt < maxReactiveRetries; attempt++ {
+	for attempt := 0; attempt < maxOptimisticScans; attempt++ {
+		// Dependency-inadmissible alternates never reach the probe
+		// phase; the version guard at commit time keeps that filter
+		// valid (any assignment change forces a rescan).
 		rt.mu.Lock()
-		version := rt.version.Load()
-		alts := rt.result.Alternates[activityID]
-		*ids = (*ids)[:0]
-		for i := range alts {
-			// Dependency-inadmissible alternates never reach the probe
-			// phase; the version guard at commit time keeps the check
-			// valid (any assignment change forces a rescan).
-			if !rt.depAdmissibleLocked(activityID, alts[i]) {
-				continue
-			}
-			*ids = append(*ids, alts[i].Service.ID)
-		}
+		version := rt.version
+		*ids = rt.admissibleLocked(activityID, (*ids)[:0])
 		rt.mu.Unlock()
 
-		pick := m.scanEligible(*ids, exclude, opts.MinSuccessRate)
+		pick := m.scanEligible(*ids, exclude, minRate)
 		if pick == "" {
 			return registry.Candidate{}, fmt.Errorf("%w for activity %q", ErrNoSubstitute, activityID)
 		}
-		if cand, ok := m.commitReactive(rt, activityID, pick, version); ok {
+		if cand, ok := m.commitScanned(rt, activityID, pick, version); ok {
 			return cand, nil
 		}
 		// A concurrent commit moved the selection: rescan from the
 		// current rotation order.
 	}
-	return m.substituteLocked(rt, activityID, exclude, opts)
+	return m.substituteLocked(rt, activityID, exclude, minRate, ids)
 }
 
 // scanEligible walks the candidate IDs in rotation order and returns the
-// first one that is not excluded, still published and healthy. Runs
-// without the runtime lock; every probe is counted so tests can assert
-// the index path performs none.
+// first one that is not excluded, still published and healthy. The
+// optimistic scan runs it without the runtime lock; every probe is
+// counted.
 func (m *Manager) scanEligible(ids []registry.ServiceID, exclude map[registry.ServiceID]bool, minRate float64) registry.ServiceID {
 	for _, id := range ids {
 		if exclude[id] {
 			continue
 		}
 		if m.Registry != nil {
-			m.counter(failoverRegistryChecksMetric, failoverRegistryChecksHelp).Inc()
+			m.Metrics.registryChecks.Inc()
 			if _, ok := m.Registry.Get(id); !ok {
 				continue // withdrawn from the environment
 			}
 		}
 		if m.Monitor != nil {
-			m.counter(failoverMonitorChecksMetric, failoverMonitorChecksHelp).Inc()
+			m.Metrics.monitorChecks.Inc()
 			if m.Monitor.SuccessRate(id) < minRate {
 				continue
 			}
@@ -575,13 +394,13 @@ func (m *Manager) scanEligible(ids []registry.ServiceID, exclude map[registry.Se
 	return ""
 }
 
-// commitReactive validates that no selection change raced the unlocked
+// commitScanned validates that no selection change raced the unlocked
 // probe phase and commits the rotation. The version guard is coarse (any
 // activity's commit bumps it) but cheap; a false positive just rescans.
-func (m *Manager) commitReactive(rt *Runtime, activityID string, pick registry.ServiceID, version uint64) (registry.Candidate, bool) {
+func (m *Manager) commitScanned(rt *Runtime, activityID string, pick registry.ServiceID, version uint64) (registry.Candidate, bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.version.Load() != version {
+	if rt.version != version {
 		return registry.Candidate{}, false
 	}
 	return m.commitLocked(rt, activityID, pick), true
@@ -613,45 +432,23 @@ func (m *Manager) commitLocked(rt *Runtime, activityID string, pick registry.Ser
 	rt.result.Alternates[activityID] = alts
 	rt.result.Assignment[activityID] = chosen
 	rt.substitutions++
-	rt.version.Add(1)
-	if m.Index != nil {
-		m.Index.Commit(activityID, pick, old)
-		if rt.deps.Touches(activityID) {
-			m.Index.MarkDirty()
-		}
-	}
-	m.counter(substitutionMetric, substitutionHelp).Inc()
+	rt.version++
+	m.Metrics.substitutions.Inc()
 	return chosen
 }
 
-// substituteLocked is the pre-index algorithm: scan and commit in one
-// critical section. Kept as the termination guarantee of the optimistic
-// reactive path under pathological commit churn.
-func (m *Manager) substituteLocked(rt *Runtime, activityID string, exclude map[registry.ServiceID]bool, opts Options) (registry.Candidate, error) {
+// substituteLocked scans and commits in one critical section, so no
+// other commit can interleave: the termination guarantee of the
+// optimistic scan under pathological commit churn.
+func (m *Manager) substituteLocked(rt *Runtime, activityID string, exclude map[registry.ServiceID]bool, minRate float64, ids *[]registry.ServiceID) (registry.Candidate, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	for _, alt := range rt.result.Alternates[activityID] {
-		if exclude[alt.Service.ID] {
-			continue
-		}
-		if !rt.depAdmissibleLocked(activityID, alt) {
-			continue
-		}
-		if m.Registry != nil {
-			m.counter(failoverRegistryChecksMetric, failoverRegistryChecksHelp).Inc()
-			if _, ok := m.Registry.Get(alt.Service.ID); !ok {
-				continue
-			}
-		}
-		if m.Monitor != nil {
-			m.counter(failoverMonitorChecksMetric, failoverMonitorChecksHelp).Inc()
-			if m.Monitor.SuccessRate(alt.Service.ID) < opts.MinSuccessRate {
-				continue
-			}
-		}
-		return m.commitLocked(rt, activityID, alt.Service.ID), nil
+	*ids = rt.admissibleLocked(activityID, (*ids)[:0])
+	pick := m.scanEligible(*ids, exclude, minRate)
+	if pick == "" {
+		return registry.Candidate{}, fmt.Errorf("%w for activity %q", ErrNoSubstitute, activityID)
 	}
-	return registry.Candidate{}, fmt.Errorf("%w for activity %q", ErrNoSubstitute, activityID)
+	return m.commitLocked(rt, activityID, pick), nil
 }
 
 // excludeScratch pools the per-failover exclusion snapshots built by

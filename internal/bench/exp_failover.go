@@ -13,7 +13,6 @@ import (
 	"qasom/internal/registry"
 	"qasom/internal/semantics"
 	"qasom/internal/simenv"
-	"qasom/internal/subidx"
 	"qasom/internal/task"
 )
 
@@ -23,8 +22,7 @@ import (
 // prefix" — a withdrawn slice the registry no longer knows and an
 // unhealthy slice the monitor has seen failing — that every failover
 // must get past before it reaches a live candidate. That prefix is what
-// makes recovery cost scale with candidate-set size on the reactive
-// path and stay flat on the indexed one.
+// makes recovery cost scale with the alternate-set size.
 type FailoverConfig struct {
 	// Services per capability (the paper's ℓ axis); 0 means 300.
 	Services int
@@ -36,9 +34,6 @@ type FailoverConfig struct {
 	// UnhealthyFrac of the victim's alternates fail below the
 	// monitor's MinSuccessRate; 0 means 0.2.
 	UnhealthyFrac float64
-	// Indexed attaches a warm substitution index to the manager;
-	// false measures the reactive alternate scan.
-	Indexed bool
 	// Seed drives the simulated environment; 0 means 1.
 	Seed int64
 }
@@ -75,7 +70,6 @@ type FailoverRig struct {
 	mon     *monitor.Monitor
 	manager *adapt.Manager
 	rt      *adapt.Runtime
-	tracker *subidx.Tracker
 	ps      *qos.PropertySet
 	victim  string
 	descs   map[registry.ServiceID]registry.Description
@@ -86,16 +80,13 @@ type FailoverResult struct {
 	Rounds            int
 	P50, P99, Max     time.Duration
 	Substitutions     int
-	IndexHits         int
-	Fallbacks         map[string]int
 	DeadPrefix        int // withdrawn + unhealthy alternates scanned past per round
 	HealthyAlternates int
 }
 
 // NewFailoverRig builds the environment, selects the composition and
 // poisons the victim's alternate prefix. The returned rig is ready to
-// measure: with Indexed set the tracker has built and quiesced, so the
-// first round is already an index hit.
+// measure.
 func NewFailoverRig(cfg FailoverConfig) (*FailoverRig, error) {
 	cfg = cfg.withDefaults()
 	onto := semantics.PervasiveWithScenarios()
@@ -160,21 +151,7 @@ func NewFailoverRig(cfg FailoverConfig) (*FailoverRig, error) {
 	r.mon = monitor.New(ps, monitor.Options{})
 	r.rt = adapt.NewRuntime(req, res)
 	r.manager = &adapt.Manager{Registry: reg, Selector: sel, Monitor: r.mon}
-	if cfg.Indexed {
-		// The periodic resync is a backstop against dropped watch
-		// events; at the default 250ms it would rebuild mid-measurement
-		// (each rebuild snapshots the selection under rt.mu, colliding
-		// with commits). The rig's freshness comes from the watch and
-		// health subscriptions, so the backstop can be slow.
-		r.tracker = subidx.NewTracker(reg, r.mon, subidx.Options{
-			RefreshInterval: 5 * time.Second,
-		})
-		r.manager.Index = r.tracker.Track(r.rt)
-		r.manager.Index.BuildNow()
-		r.tracker.Quiesce()
-	}
 	if err := r.poison(); err != nil {
-		r.Close()
 		return nil, err
 	}
 	return r, nil
@@ -206,9 +183,6 @@ func (r *FailoverRig) poison() error {
 			}
 		}
 	}
-	if r.tracker != nil {
-		r.tracker.Quiesce()
-	}
 	return nil
 }
 
@@ -229,11 +203,10 @@ func (r *FailoverRig) alternates() []registry.ServiceID {
 }
 
 // Rounds performs n failover rounds and returns the Substitute latency
-// quantiles. Each round: the bound service dies (registry withdrawal —
-// the signal both the reactive scan's Registry.Get probe and the
-// index's watch subscription observe), Substitute picks the best live
-// alternate past the dead prefix, and the dead service redeploys so the
-// pool is back to steady state before the next round.
+// quantiles. Each round: the bound service dies (a registry withdrawal,
+// which the scan's Registry.Get probe observes), Substitute picks the
+// best live alternate past the dead prefix, and the dead service
+// redeploys so the pool is back to steady state before the next round.
 func (r *FailoverRig) Rounds(n int) (*FailoverResult, error) {
 	durs := make([]time.Duration, 0, n)
 	exclude := make(map[registry.ServiceID]bool, 1)
@@ -246,10 +219,6 @@ func (r *FailoverRig) Rounds(n int) (*FailoverResult, error) {
 		if !r.env.Leave(victim) {
 			return nil, fmt.Errorf("failover rig: %s did not leave", victim)
 		}
-		// No quiesce here: the tracker drains the watch stream
-		// continuously, exactly as in production. The failed binding is
-		// in the exclude set either way, and the dead prefix the
-		// measurement depends on was poisoned (and synced) up front.
 		clear(exclude)
 		exclude[victim] = true
 
@@ -266,15 +235,8 @@ func (r *FailoverRig) Rounds(n int) (*FailoverResult, error) {
 		if err := r.env.Deploy(simenv.Service{Desc: desc, Noise: 0.05}); err != nil {
 			return nil, err
 		}
-		// Drain the watch backlog on our schedule (cheap now that a
-		// same-offers flap no longer dirties the index) instead of
-		// letting the buffer fill and force a bulk drain mid-window.
-		if r.tracker != nil && (i+1)%128 == 0 {
-			r.tracker.Quiesce()
-		}
 	}
 	sort.Slice(durs, func(a, b int) bool { return durs[a] < durs[b] })
-	stats := r.rt.FailoverStats()
 	alts := r.alternates()
 	withdrawn := int(r.cfg.WithdrawnFrac * float64(len(alts)))
 	unhealthy := int(r.cfg.UnhealthyFrac * float64(len(alts)))
@@ -284,8 +246,6 @@ func (r *FailoverRig) Rounds(n int) (*FailoverResult, error) {
 		P99:               durs[len(durs)*99/100],
 		Max:               durs[len(durs)-1],
 		Substitutions:     r.rt.Substitutions(),
-		IndexHits:         stats.IndexHits,
-		Fallbacks:         stats.Fallbacks,
 		DeadPrefix:        withdrawn + unhealthy,
 		HealthyAlternates: len(alts) - withdrawn - unhealthy,
 	}, nil
@@ -298,27 +258,19 @@ func medianOf(ds []time.Duration) time.Duration {
 	return s[len(s)/2]
 }
 
-// Close stops the tracker goroutine (a no-op for reactive rigs).
-func (r *FailoverRig) Close() {
-	if r.tracker != nil {
-		r.tracker.Close()
-	}
-}
-
-// expFailover measures the tentpole claim of the substitution index:
-// p50/p99 time-to-recover on service death at ℓ=300 with 50-candidate
-// alternate sets, reactive scan vs index lookup, under the simenv fault
+// expFailover measures the Ch. V substitution strategy's
+// time-to-recover: p50/p99 of one Substitute call on service death at
+// ℓ=300 with 50-candidate alternate sets, under the simenv fault
 // injector's dead-prefix regime.
 func expFailover() *Experiment {
 	return &Experiment{
 		ID:    "failover",
 		Paper: "Ch. V substitution (time-to-recover)",
-		Title: "Time-to-recover: reactive alternate scan vs substitution index",
-		Expected: "The reactive scan pays per-candidate Registry.Get and " +
-			"Monitor.SuccessRate probes to get past the dead prefix, so " +
-			"recovery latency scales with the alternate-set size; the index " +
-			"resolves the same decision from an immutable snapshot in one " +
-			"lock-free lookup, flooring p99 well over 5x below the scan.",
+		Title: "Time-to-recover: the alternate scan past a dead prefix",
+		Expected: "The scan pays a Registry.Get probe, and a " +
+			"Monitor.SuccessRate probe for each still-published one, per " +
+			"alternate it gets past, so recovery latency grows with the " +
+			"dead prefix of the alternate list, not with ℓ.",
 		Run: func(cfg Config) (*Table, error) {
 			cfg = cfg.withDefaults()
 			services, alternates, rounds := 300, 50, 2000
@@ -328,53 +280,34 @@ func expFailover() *Experiment {
 			t := NewTable(
 				fmt.Sprintf("Failover time-to-recover (ℓ=%d, %d-candidate alternate sets, dead prefix 60%%+20%%)",
 					services, alternates),
-				"mode", "rounds", "sub_p50_us", "sub_p99_us", "sub_max_us",
-				"index_hits", "fallbacks")
-			var p99 [2]time.Duration
-			for i, indexed := range []bool{false, true} {
-				rig, err := NewFailoverRig(FailoverConfig{
-					Services: services, Alternates: alternates,
-					Indexed: indexed, Seed: cfg.Seed,
-				})
+				"rounds", "sub_p50_us", "sub_p99_us", "sub_max_us")
+			rig, err := NewFailoverRig(FailoverConfig{
+				Services: services, Alternates: alternates, Seed: cfg.Seed,
+			})
+			if err != nil {
+				return nil, err
+			}
+			// Median over repetitions: a GC cycle or scheduler hiccup
+			// landing inside one pass's measured windows cannot move the
+			// reported quantile on its own.
+			p50s := make([]time.Duration, 0, cfg.Repetitions)
+			p99s := make([]time.Duration, 0, cfg.Repetitions)
+			var last *FailoverResult
+			for rep := 0; rep < cfg.Repetitions; rep++ {
+				runtime.GC()
+				res, err := rig.Rounds(rounds)
 				if err != nil {
 					return nil, err
 				}
-				// Median over repetitions: a GC cycle or scheduler
-				// hiccup landing inside one pass's measured windows
-				// cannot move the reported quantile on its own.
-				p50s := make([]time.Duration, 0, cfg.Repetitions)
-				p99s := make([]time.Duration, 0, cfg.Repetitions)
-				var last *FailoverResult
-				for rep := 0; rep < cfg.Repetitions; rep++ {
-					runtime.GC()
-					res, err := rig.Rounds(rounds)
-					if err != nil {
-						rig.Close()
-						return nil, err
-					}
-					p50s = append(p50s, res.P50)
-					p99s = append(p99s, res.P99)
-					last = res
-				}
-				rig.Close()
-				mode := "reactive"
-				if indexed {
-					mode = "index"
-				}
-				fallbacks := 0
-				for _, n := range last.Fallbacks {
-					fallbacks += n
-				}
-				p99[i] = medianOf(p99s)
-				t.AddRow(mode, cfg.Repetitions*rounds,
-					float64(medianOf(p50s))/float64(time.Microsecond),
-					float64(p99[i])/float64(time.Microsecond),
-					float64(last.Max)/float64(time.Microsecond),
-					last.IndexHits, fallbacks)
+				p50s = append(p50s, res.P50)
+				p99s = append(p99s, res.P99)
+				last = res
 			}
-			if p99[1] > 0 {
-				t.AddNote("p99 speedup (reactive/index): %.1fx", float64(p99[0])/float64(p99[1]))
-			}
+			t.AddRow(cfg.Repetitions*rounds,
+				float64(medianOf(p50s))/float64(time.Microsecond),
+				float64(medianOf(p99s))/float64(time.Microsecond),
+				float64(last.Max)/float64(time.Microsecond))
+			t.AddNote("dead prefix scanned past per round: %d of %d alternates", last.DeadPrefix, last.DeadPrefix+last.HealthyAlternates)
 			return t, nil
 		},
 	}

@@ -271,16 +271,6 @@ func (ds *DependencySet) Len() int {
 	return len(ds.rules)
 }
 
-// Touches reports whether any rule constrains the given activity. A nil
-// set touches nothing.
-func (ds *DependencySet) Touches(activityID string) bool {
-	if ds == nil {
-		return false
-	}
-	a, ok := ds.actIdx[activityID]
-	return ok && len(ds.touching[a]) > 0
-}
-
 // AdjacentTo returns the IDs of the activities sharing a rule with the
 // given one — the set a dependency-aware repair re-opens after swapping
 // its binding.

@@ -90,13 +90,6 @@ func monitorMetricsFor(hub *obs.Hub) monitorMetrics {
 	}
 }
 
-// healthListener is one SubscribeHealth registration: a success-rate
-// threshold and the callback fired when a service crosses it.
-type healthListener struct {
-	threshold float64
-	fn        func(id registry.ServiceID, healthy bool)
-}
-
 // Monitor collects run-time QoS observations per service. Safe for
 // concurrent use.
 type Monitor struct {
@@ -105,9 +98,6 @@ type Monitor struct {
 	opts    Options
 	met     monitorMetrics
 	windows map[registry.ServiceID]*window
-
-	nextListener int
-	listeners    map[int]healthListener
 }
 
 // New creates a monitor for the given property set.
@@ -117,30 +107,6 @@ func New(ps *qos.PropertySet, opts Options) *Monitor {
 		opts:    opts.withDefaults(),
 		met:     monitorMetricsFor(opts.Obs),
 		windows: make(map[registry.ServiceID]*window),
-	}
-}
-
-// SubscribeHealth registers a callback fired whenever a service's
-// observed success rate crosses the threshold in either direction
-// (healthy ⇔ rate ≥ threshold, matching the adaptation manager's
-// MinSuccessRate filter). The unobserved prior counts as healthy, so the
-// very first failing observations of a service do notify. Callbacks run
-// synchronously on the Report goroutine but outside the monitor's lock —
-// they may call back into the monitor, but should return quickly. The
-// returned cancel function unsubscribes.
-func (m *Monitor) SubscribeHealth(threshold float64, fn func(id registry.ServiceID, healthy bool)) (cancel func()) {
-	m.mu.Lock()
-	if m.listeners == nil {
-		m.listeners = make(map[int]healthListener)
-	}
-	key := m.nextListener
-	m.nextListener++
-	m.listeners[key] = healthListener{threshold: threshold, fn: fn}
-	m.mu.Unlock()
-	return func() {
-		m.mu.Lock()
-		delete(m.listeners, key)
-		m.mu.Unlock()
 	}
 }
 
@@ -156,7 +122,6 @@ func (m *Monitor) Report(obs Observation) error {
 		w = &window{obs: make([]Observation, m.opts.WindowSize)}
 		m.windows[obs.Service] = w
 	}
-	rateBefore := w.successRate()
 	w.obs[w.next] = obs
 	w.next = (w.next + 1) % len(w.obs)
 	if w.next == 0 {
@@ -174,16 +139,6 @@ func (m *Monitor) Report(obs Observation) error {
 			w.ewma[j] = a*obs.Vector[j] + (1-a)*w.ewma[j]
 		}
 	}
-	rateAfter := w.successRate()
-	// Collect threshold crossings under the lock, notify outside it: a
-	// listener may itself read the monitor (or fan out into substitution
-	// indexes) without deadlocking Report.
-	var crossed []healthListener
-	for _, l := range m.listeners {
-		if (rateBefore >= l.threshold) != (rateAfter >= l.threshold) {
-			crossed = append(crossed, l)
-		}
-	}
 	m.met.observations.Inc()
 	if !obs.Success {
 		m.met.failures.Inc()
@@ -194,9 +149,6 @@ func (m *Monitor) Report(obs Observation) error {
 		}
 	}
 	m.mu.Unlock()
-	for _, l := range crossed {
-		l.fn(obs.Service, rateAfter >= l.threshold)
-	}
 	return nil
 }
 

@@ -233,12 +233,6 @@ func (sh *shard) republish(ck capKey, st *capState) *capPublished {
 	return p
 }
 
-// watcher is one Watch subscription, tenant-filtered at notify time.
-type watcher struct {
-	ch     chan Event
-	tenant TenantID
-}
-
 // Store is the sharded, multi-tenant registry core. Create instances
 // with NewStore and obtain tenant-bound views with Tenant; the plain New
 // constructor wraps a fresh single-tenant store for compatibility.
@@ -263,10 +257,6 @@ type Store struct {
 	rebuildMu     sync.Mutex
 	indexRebuilds atomic.Uint64
 
-	watchMu  sync.RWMutex
-	watchers map[int]watcher
-	nextW    int
-
 	// lockWait/mutations are nil without StoreOptions.Obs; shardLabels
 	// pre-renders the label values so the hot path never formats.
 	lockWait    *obs.HistogramVec
@@ -290,7 +280,6 @@ func NewStore(o *semantics.Ontology, opts StoreOptions) *Store {
 		ontology: o,
 		shards:   make([]shard, pow),
 		mask:     uint32(pow - 1),
-		watchers: make(map[int]watcher),
 	}
 	for i := range s.shards {
 		s.shards[i].services = make(map[svcKey]*storedService)
@@ -332,12 +321,6 @@ func (s *Store) Epoch() uint64 { return s.gen.Load() }
 
 // Len returns the number of published services across all tenants.
 func (s *Store) Len() int { return int(s.total.Load()) }
-
-// ShardOf returns the shard index holding the directory entry of
-// (tenant, id) — the value watch events report in Event.Shard.
-func (s *Store) ShardOf(t TenantID, id ServiceID) int {
-	return int(s.shardOfID(t, id))
-}
 
 // Metrics returns a snapshot of the store-wide index counters.
 func (s *Store) Metrics() Metrics {
@@ -420,7 +403,7 @@ func (s *Store) ClosureKeys(c semantics.ConceptID) []semantics.ConceptID {
 }
 
 // publish validates and stores a description for the tenant, replacing
-// any previous version, and notifies the tenant's watchers.
+// any previous version.
 func (s *Store) publish(t TenantID, d Description) error {
 	if err := d.Validate(); err != nil {
 		return err
@@ -456,12 +439,11 @@ func (s *Store) publish(t TenantID, d Description) error {
 	if s.mutations != nil {
 		s.mutations.With(s.shardLabels[home]).Inc()
 	}
-	s.notify(Event{Kind: EventPublished, Tenant: t, Shard: int(home), Service: cp})
 	return nil
 }
 
-// withdraw removes a tenant's service and notifies watchers; it reports
-// whether the service was present.
+// withdraw removes a tenant's service; it reports whether the service
+// was present.
 func (s *Store) withdraw(t TenantID, id ServiceID) bool {
 	stripe := s.stripeFor(t, id)
 	stripe.Lock()
@@ -486,7 +468,6 @@ func (s *Store) withdraw(t TenantID, id ServiceID) bool {
 	if s.mutations != nil {
 		s.mutations.With(s.shardLabels[home]).Inc()
 	}
-	s.notify(Event{Kind: EventWithdrawn, Tenant: t, Shard: int(home), Service: old.desc})
 	return true
 }
 
@@ -705,56 +686,6 @@ func (s *Store) collect(t TenantID, canon semantics.ConceptID) *capPublished {
 		return p
 	}
 	return sh.republish(ck, st)
-}
-
-// watch subscribes to the tenant's change events; see Registry.Watch.
-func (s *Store) watch(t TenantID, buffer int) (<-chan Event, func()) {
-	if buffer <= 0 {
-		buffer = 16
-	}
-	ch := make(chan Event, buffer)
-	s.watchMu.Lock()
-	id := s.nextW
-	s.nextW++
-	s.watchers[id] = watcher{ch: ch, tenant: t}
-	s.watchMu.Unlock()
-	var once sync.Once
-	cancel := func() {
-		once.Do(func() {
-			s.watchMu.Lock()
-			delete(s.watchers, id)
-			s.watchMu.Unlock()
-			close(ch)
-		})
-	}
-	return ch, cancel
-}
-
-// notify fans an event out to the event's tenant's watchers. It runs
-// outside every shard lock; each watcher gets its own deep copy so a
-// subscriber mutating the event (or holding it across further shard
-// writes) never aliases registry-internal state or another watcher's
-// view.
-func (s *Store) notify(e Event) {
-	s.watchMu.RLock()
-	defer s.watchMu.RUnlock()
-	for _, w := range s.watchers {
-		if w.tenant != e.Tenant {
-			continue
-		}
-		ev := Event{Kind: e.Kind, Tenant: e.Tenant, Shard: e.Shard, Service: e.Service.clone()}
-		select {
-		case w.ch <- ev:
-		default: // drop rather than block
-		}
-	}
-}
-
-// watcherCount reports the live subscriptions (test hook).
-func (s *Store) watcherCount() int {
-	s.watchMu.RLock()
-	defer s.watchMu.RUnlock()
-	return len(s.watchers)
 }
 
 // candidates resolves the tenant's services able to provide the required

@@ -398,8 +398,8 @@ func TestSharedPlanIsolation(t *testing.T) {
 					errc <- fmt.Errorf("repeat compose missed the plan cache")
 					return
 				}
-				// Reactive substitution, execution (registers the
-				// substitution index), then an index-served substitution.
+				// Substitution, execution, then substitution again on
+				// the runtime's now-private selection.
 				if err := substituteAll(c); err != nil {
 					errc <- err
 					return

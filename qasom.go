@@ -24,15 +24,16 @@ import (
 	"fmt"
 	"sort"
 
+	"qasom/internal/adapt"
 	"qasom/internal/contract"
 	"qasom/internal/core"
+	"qasom/internal/graph"
 	"qasom/internal/monitor"
 	"qasom/internal/obs"
 	"qasom/internal/qos"
 	"qasom/internal/registry"
 	"qasom/internal/semantics"
 	"qasom/internal/simenv"
-	"qasom/internal/subidx"
 	"qasom/internal/task"
 )
 
@@ -209,9 +210,9 @@ type Middleware struct {
 	met       composeMetrics
 	plans     *planCache
 	docs      *internTable
-	subst     *subidx.Tracker
-	opts      core.Options // the one selection configuration New resolves
-	tenant    string       // tenant label on metrics and flight records ("default" for the zero tenant)
+	adapt     *adapt.Manager // serves the adaptation of every composition
+	opts      core.Options   // the one selection configuration New resolves
+	tenant    string         // tenant label on metrics and flight records ("default" for the zero tenant)
 }
 
 // composeMetrics bundles the façade's registry handles, created once in
@@ -321,7 +322,16 @@ func New(opts ...Options) (*Middleware, error) {
 		opts:      sel,
 		tenant:    tenantLabel(o.TenantID),
 	}
-	m.subst = subidx.NewTracker(reg, m.mon, subidx.Options{Metrics: o.Obs.Metrics})
+	m.adapt = &adapt.Manager{
+		Registry: reg,
+		Repo:     m.repo,
+		Selector: m.selector,
+		Monitor:  m.mon,
+		Metrics:  adapt.NewMetrics(o.Obs),
+		Options: adapt.Options{
+			Match: graph.MatchOptions{AllowSubsume: true, AllowMerge: true},
+		},
+	}
 	obs.RegisterBuildInfo(o.Obs.Metrics)
 	o.Obs.Metrics.Func("qasom_plan_cache_entries",
 		"Live entries in the selection-plan cache.",
@@ -356,13 +366,11 @@ func New(opts ...Options) (*Middleware, error) {
 	return m, nil
 }
 
-// Close releases the middleware's background resources: the substitution
-// index tracker's maintenance goroutine and its registry/monitor
-// subscriptions. The instance stays usable afterwards — failover simply
-// reverts to the reactive scan. Safe to call more than once.
-func (m *Middleware) Close() {
-	m.subst.Close()
-}
+// Close releases nothing: a middleware runs no background goroutine and
+// holds no subscription. It exists so callers can scope an instance's
+// lifetime; the instance stays usable afterwards and Close may be called
+// any number of times.
+func (m *Middleware) Close() {}
 
 // Observability returns the middleware's telemetry hub: the metrics
 // registry behind /metrics and the tracer whose Snapshot holds the most

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"qasom"
 )
@@ -295,6 +297,41 @@ func TestExecuteWithSubstitution(t *testing.T) {
 	if report.BehaviourSwitches != 0 {
 		t.Errorf("no behaviour switch expected: %+v", report)
 	}
+}
+
+// TestLifecycleLeavesNoGoroutines pins that a middleware runs no
+// background goroutine: after New, after an Execute that fails over and
+// after Close the goroutine count is back where it was before New (the
+// executor's per-branch goroutines end with Execute).
+func TestLifecycleLeavesNoGoroutines(t *testing.T) {
+	start := runtime.NumGoroutine()
+	settled := func(step string) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > start {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, %d before New", step, runtime.NumGoroutine(), start)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	mw := newMall(t)
+	settled("after New")
+	comp, err := mw.Compose(qasom.Request{Task: behaviourA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mw.SetDown(comp.Bindings()["order"])
+	report, err := mw.Execute(context.Background(), comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Substitutions == 0 {
+		t.Fatalf("the down binding should have failed over: %+v", report)
+	}
+	settled("after Execute")
+	mw.Close()
+	settled("after Close")
 }
 
 func TestExecuteWithBehaviouralAdaptation(t *testing.T) {

@@ -28,9 +28,8 @@ BASE="${BASE:-BENCH_qassa.json}"
 # serving hot path carries a span, a flight record and an SLO
 # observation per composition, and the alloc/byte budgets keep that
 # instrumentation honest. BenchmarkFailover gates the recovery path the
-# same way: mode=index must stay a lock-free lookup (its ns/op and
-# alloc budgets are the index-hit fast path plus the steady-state round
-# overhead), mode=reactive keeps the fallback scan honest.
+# same way: its ns/op and alloc budgets are one alternate scan past a
+# 40-alternate dead prefix plus the steady-state round overhead.
 # BenchmarkParetoProbe gates the multi-objective vector probe (must stay
 # O(path) and zero-alloc, within a few x of the scalar EvalProbe);
 # BenchmarkParetoSelect gates both front-mode regimes end to end.
