@@ -41,6 +41,13 @@ for procs in 1 "$(nproc)"; do
 	GOMAXPROCS=$procs go test -count=3 -run 'TestDifferential|TestDecisionDigest' . ./internal/core ./internal/baseline ./internal/registry
 done
 
+# The failover-under-churn test judges one failover against one
+# consistent registry view; a scan that reads each alternate at a
+# different instant fails it about once in a hundred multi-core runs,
+# so run it 200 times on every core.
+echo "== GOMAXPROCS=$(nproc) go test -count=200 -run 'TestSubstituteUnderRegistryChurn\$' ./internal/adapt"
+GOMAXPROCS=$(nproc) go test -count=200 -run 'TestSubstituteUnderRegistryChurn$' ./internal/adapt
+
 if [ "${1:-}" = "quick" ]; then
 	# Quick still races the telemetry layer: its lock-free counters,
 	# span ring, flight-recorder ring and SLO bucket ring are the code

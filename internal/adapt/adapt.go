@@ -320,11 +320,17 @@ var ErrNoSubstitute = fmt.Errorf("adapt: no substitute available")
 // degrades to the fully locked scan.
 const maxOptimisticScans = 4
 
-// idScratch pools the candidate-ID snapshot slices of the failover scan.
-var idScratch = sync.Pool{
+// scanScratch is the failover scan's reusable state: the candidate-ID
+// snapshot and the registry presence of each snapshotted ID.
+type scanScratch struct {
+	ids  []registry.ServiceID
+	live []bool
+}
+
+// scanScratchPool pools scanScratch values across failovers.
+var scanScratchPool = sync.Pool{
 	New: func() any {
-		s := make([]registry.ServiceID, 0, 16)
-		return &s
+		return &scanScratch{ids: make([]registry.ServiceID, 0, 16), live: make([]bool, 0, 16)}
 	},
 }
 
@@ -341,21 +347,18 @@ var idScratch = sync.Pool{
 // bound the scan runs fully locked, which guarantees termination.
 func (m *Manager) Substitute(rt *Runtime, activityID string, exclude map[registry.ServiceID]bool) (registry.Candidate, error) {
 	minRate := m.Options.withDefaults().MinSuccessRate
-	ids := idScratch.Get().(*[]registry.ServiceID)
-	defer func() {
-		*ids = (*ids)[:0]
-		idScratch.Put(ids)
-	}()
+	sc := scanScratchPool.Get().(*scanScratch)
+	defer scanScratchPool.Put(sc)
 	for attempt := 0; attempt < maxOptimisticScans; attempt++ {
 		// Dependency-inadmissible alternates never reach the probe
 		// phase; the version guard at commit time keeps that filter
 		// valid (any assignment change forces a rescan).
 		rt.mu.Lock()
 		version := rt.version
-		*ids = rt.admissibleLocked(activityID, (*ids)[:0])
+		sc.ids = rt.admissibleLocked(activityID, sc.ids[:0])
 		rt.mu.Unlock()
 
-		pick := m.scanEligible(*ids, exclude, minRate)
+		pick := m.scanEligible(sc, exclude, minRate)
 		if pick == "" {
 			return registry.Candidate{}, fmt.Errorf("%w for activity %q", ErrNoSubstitute, activityID)
 		}
@@ -365,21 +368,31 @@ func (m *Manager) Substitute(rt *Runtime, activityID string, exclude map[registr
 		// A concurrent commit moved the selection: rescan from the
 		// current rotation order.
 	}
-	return m.substituteLocked(rt, activityID, exclude, minRate, ids)
+	return m.substituteLocked(rt, activityID, exclude, minRate, sc)
 }
 
-// scanEligible walks the candidate IDs in rotation order and returns the
-// first one that is not excluded, still published and healthy. The
-// optimistic scan runs it without the runtime lock; every probe is
-// counted.
-func (m *Manager) scanEligible(ids []registry.ServiceID, exclude map[registry.ServiceID]bool, minRate float64) registry.ServiceID {
-	for _, id := range ids {
-		if exclude[id] {
-			continue
+// scanEligible walks the snapshotted candidate IDs in rotation order and
+// returns the first one that is not excluded, still published and
+// healthy. Presence is judged for all of them against one registry view,
+// so a failover never sees each alternate at a different instant (and
+// hence possibly every one of them at a moment it was withdrawn). The
+// optimistic scan runs it without the runtime lock; every probe the walk
+// reaches is counted.
+func (m *Manager) scanEligible(sc *scanScratch, exclude map[registry.ServiceID]bool, minRate float64) registry.ServiceID {
+	ids := sc.ids[:0]
+	for _, id := range sc.ids {
+		if !exclude[id] {
+			ids = append(ids, id)
 		}
+	}
+	sc.ids = ids
+	if m.Registry != nil {
+		sc.live = m.Registry.Published(ids, sc.live)
+	}
+	for i, id := range ids {
 		if m.Registry != nil {
 			m.Metrics.registryChecks.Inc()
-			if _, ok := m.Registry.Get(id); !ok {
+			if !sc.live[i] {
 				continue // withdrawn from the environment
 			}
 		}
@@ -440,11 +453,11 @@ func (m *Manager) commitLocked(rt *Runtime, activityID string, pick registry.Ser
 // substituteLocked scans and commits in one critical section, so no
 // other commit can interleave: the termination guarantee of the
 // optimistic scan under pathological commit churn.
-func (m *Manager) substituteLocked(rt *Runtime, activityID string, exclude map[registry.ServiceID]bool, minRate float64, ids *[]registry.ServiceID) (registry.Candidate, error) {
+func (m *Manager) substituteLocked(rt *Runtime, activityID string, exclude map[registry.ServiceID]bool, minRate float64, sc *scanScratch) (registry.Candidate, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	*ids = rt.admissibleLocked(activityID, (*ids)[:0])
-	pick := m.scanEligible(*ids, exclude, minRate)
+	sc.ids = rt.admissibleLocked(activityID, sc.ids[:0])
+	pick := m.scanEligible(sc, exclude, minRate)
 	if pick == "" {
 		return registry.Candidate{}, fmt.Errorf("%w for activity %q", ErrNoSubstitute, activityID)
 	}

@@ -106,7 +106,6 @@ type DependencySet struct {
 	actIdx   map[string]int
 	touching [][]int    // per activity: indices into rules
 	adjacent [][]string // per activity: dependency-adjacent activity IDs
-	source   []Dependency
 }
 
 // CompileDependencies validates and compiles a dependency rule set
@@ -123,7 +122,6 @@ func CompileDependencies(t *task.Task, rules []Dependency) (*DependencySet, erro
 		actIdx:   make(map[string]int, len(acts)),
 		touching: make([][]int, len(acts)),
 		adjacent: make([][]string, len(acts)),
-		source:   append([]Dependency(nil), rules...),
 	}
 	for i, a := range acts {
 		ds.actIDs[i] = a.ID
@@ -254,35 +252,12 @@ func (ds *DependencySet) checkContradictions() error {
 	return nil
 }
 
-// Rules returns a copy of the declarative rules the set was compiled
-// from.
-func (ds *DependencySet) Rules() []Dependency {
-	if ds == nil {
-		return nil
-	}
-	return append([]Dependency(nil), ds.source...)
-}
-
 // Len returns the compiled rule count (0 for a nil set).
 func (ds *DependencySet) Len() int {
 	if ds == nil {
 		return 0
 	}
 	return len(ds.rules)
-}
-
-// AdjacentTo returns the IDs of the activities sharing a rule with the
-// given one — the set a dependency-aware repair re-opens after swapping
-// its binding.
-func (ds *DependencySet) AdjacentTo(activityID string) []string {
-	if ds == nil {
-		return nil
-	}
-	a, ok := ds.actIdx[activityID]
-	if !ok {
-		return nil
-	}
-	return ds.adjacent[a]
 }
 
 // ruleViolated evaluates one rule against concrete bindings.

@@ -187,9 +187,11 @@ func TestDependencySemantics(t *testing.T) {
 	}
 
 	// Adjacency: a2 shares rules with a1 (requires) and a3 (excludes).
-	adj := ds.AdjacentTo("a2")
-	if !reflect.DeepEqual(adj, []string{"a1", "a3"}) {
-		t.Fatalf("AdjacentTo(a2) = %v", adj)
+	// The bound form's per-activity index lists are what repair reads.
+	bd := bindDeps(ds, make([][]RankedCandidate, tk.Size()))
+	adj := bd.adjacentIdx[ds.actIdx["a2"]]
+	if want := []int{ds.actIdx["a1"], ds.actIdx["a3"]}; !reflect.DeepEqual(adj, want) {
+		t.Fatalf("adjacentIdx(a2) = %v, want %v", adj, want)
 	}
 }
 

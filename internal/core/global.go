@@ -294,7 +294,7 @@ func (g *globalState) repair(limits []int) (bool, error) {
 	if cur == 0 {
 		return true, nil
 	}
-	for pass := 0; pass < g.opts.RepairPasses; pass++ {
+	for pass := 0; pass < repairPassesPerActivity*len(g.acts); pass++ {
 		if err := g.ctx.Err(); err != nil {
 			return false, err
 		}
@@ -382,7 +382,7 @@ func (g *globalState) reopenDependents(act int, limits []int, cur float64) float
 // separable per activity, so each sweep tries, per activity, the
 // pool candidates in descending utility and keeps the best feasible one.
 func (g *globalState) improve(limits []int) {
-	for pass := 0; pass < g.opts.ImprovePasses; pass++ {
+	for pass := 0; pass < improvePasses; pass++ {
 		improved := false
 		for a := range g.acts {
 			prev := g.eng.Current(a)

@@ -18,7 +18,7 @@ package core
 //   - Larger instances run a deterministic Pareto local search: archive
 //     members are explored in insertion order, every admissible one-swap
 //     neighbour is offered to the archive, and the sweep runs to closure
-//     or Options.ParetoSweepBudget probes.
+//     or paretoSweepBudget probes.
 //
 // Dependency rules gate both regimes: only assignments with zero rule
 // violations enter the archive, and the sweep consults the admissibility
@@ -214,7 +214,7 @@ func (ps *paretoSearch) enumerate() error {
 // budget is spent.
 func (ps *paretoSearch) sweep() error {
 	g := ps.g
-	budget := g.opts.ParetoSweepBudget
+	budget := paretoSweepBudget
 	for qi := 0; qi < len(ps.queue); qi++ {
 		if err := g.ctx.Err(); err != nil {
 			return err

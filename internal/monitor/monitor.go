@@ -60,6 +60,9 @@ type window struct {
 	ewma     qos.Vector
 	total    int
 	failures int
+	// gauges are the service's EWMA gauges, one per property, resolved
+	// when the window is created (nil without telemetry).
+	gauges []*obs.Gauge
 }
 
 // monitorMetrics bundles the monitor's registry handles; the zero
@@ -110,6 +113,19 @@ func New(ps *qos.PropertySet, opts Options) *Monitor {
 	}
 }
 
+// newWindow creates a service's observation window, resolving its EWMA
+// gauges once so Report sets them without a by-label lookup.
+func (m *Monitor) newWindow(id registry.ServiceID) *window {
+	w := &window{obs: make([]Observation, m.opts.WindowSize)}
+	if m.met.ewma != nil {
+		w.gauges = make([]*obs.Gauge, m.ps.Len())
+		for j, name := range m.ps.Names() {
+			w.gauges[j] = m.met.ewma.With(string(id), name)
+		}
+	}
+	return w
+}
+
 // Report records one observation. Vectors of the wrong arity are
 // rejected.
 func (m *Monitor) Report(obs Observation) error {
@@ -119,7 +135,7 @@ func (m *Monitor) Report(obs Observation) error {
 	m.mu.Lock()
 	w := m.windows[obs.Service]
 	if w == nil {
-		w = &window{obs: make([]Observation, m.opts.WindowSize)}
+		w = m.newWindow(obs.Service)
 		m.windows[obs.Service] = w
 	}
 	w.obs[w.next] = obs
@@ -143,10 +159,8 @@ func (m *Monitor) Report(obs Observation) error {
 	if !obs.Success {
 		m.met.failures.Inc()
 	}
-	if m.met.ewma != nil {
-		for j, name := range m.ps.Names() {
-			m.met.ewma.With(string(obs.Service), name).Set(w.ewma[j])
-		}
+	for j, g := range w.gauges {
+		g.Set(w.ewma[j])
 	}
 	m.mu.Unlock()
 	return nil

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"qasom/internal/obs"
 	"qasom/internal/qos"
 	"qasom/internal/registry"
 	"qasom/internal/semantics"
@@ -35,6 +36,30 @@ func TestReportValidation(t *testing.T) {
 	}
 	if m.Len("unknown") != 0 {
 		t.Error("unknown service should have no observations")
+	}
+}
+
+// TestEWMAGauges pins the exported EWMA gauges: one series per service
+// and property, each holding the window's current estimate.
+func TestEWMAGauges(t *testing.T) {
+	hub := obs.NewHub()
+	m := New(testProps(), Options{Alpha: 0.5, Obs: hub})
+	for _, o := range []Observation{mkObs("s", 100, 0.9, true), mkObs("s", 200, 0.5, false), mkObs("u", 40, 1, true)} {
+		if err := m.Report(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ewma := hub.Metrics.GaugeVec("qasom_monitor_ewma", "", "service", "property")
+	for _, id := range []registry.ServiceID{"s", "u"} {
+		est, _ := m.Estimate(id)
+		for j, name := range testProps().Names() {
+			if got := ewma.With(string(id), name).Value(); got != est[j] {
+				t.Errorf("gauge %s/%s = %g, want %g", id, name, got, est[j])
+			}
+		}
+	}
+	if got := ewma.With("s", "rt").Value(); got != 150 {
+		t.Errorf("gauge s/rt = %g, want 150", got)
 	}
 }
 

@@ -282,7 +282,7 @@ func TestRacedMemoLookups(t *testing.T) {
 }
 
 // TestPublishRejectsNonFiniteOffers pins that Validate — shared by
-// Publish, federation deltas and simulated deployment — refuses NaN and
+// Publish and simulated deployment — refuses NaN and
 // infinite offer values, which would otherwise fail every later
 // selection over the capability.
 func TestPublishRejectsNonFiniteOffers(t *testing.T) {

@@ -8,8 +8,7 @@
 //
 // The storage core is a sharded, multi-tenant Store (see store.go);
 // Registry is the tenant-bound view every pre-multi-tenant call site
-// keeps using unchanged. federation.go adds the two-tier branch/central
-// hierarchy for distributed deployments.
+// keeps using unchanged.
 package registry
 
 import (
@@ -71,8 +70,7 @@ func (d *Description) Validate() error {
 	}
 	// A NaN or infinite offer would reach every later selection touching
 	// the capability (clustering rejects non-finite points), so it is
-	// refused here, where Publish, federation deltas and simenv.Deploy
-	// all pass.
+	// refused here, where Publish and simenv.Deploy both pass.
 	for _, o := range d.Offers {
 		if math.IsNaN(o.Value) || math.IsInf(o.Value, 0) {
 			return fmt.Errorf("registry: service %q offers non-finite %q = %v", d.ID, o.Property, o.Value)
@@ -181,12 +179,6 @@ func New(o *semantics.Ontology) *Registry {
 	return NewStore(o, StoreOptions{}).Tenant(DefaultTenant)
 }
 
-// Store returns the sharded multi-tenant store backing this view.
-func (r *Registry) Store() *Store { return r.store }
-
-// TenantID returns the tenant this view is bound to.
-func (r *Registry) TenantID() TenantID { return r.tenant }
-
 // Epoch returns the store's global generation: a counter bumped on every
 // Publish/Withdraw of any tenant. It is a single atomic load — callers
 // poll it to detect "nothing changed since my snapshot" without locking.
@@ -227,6 +219,14 @@ func (r *Registry) Withdraw(id ServiceID) bool {
 // Get returns a copy of the description for id.
 func (r *Registry) Get(id ServiceID) (Description, bool) {
 	return r.store.get(r.tenant, id)
+}
+
+// Published reports, into dst (reused, resized to len(ids)), which of
+// ids this tenant has published. All IDs are judged against one
+// consistent registry view, unlike a run of Get calls, each of which may
+// see a different instant; no description is copied.
+func (r *Registry) Published(ids []ServiceID, dst []bool) []bool {
+	return r.store.published(r.tenant, ids, dst)
 }
 
 // Len returns the number of services this tenant has published.

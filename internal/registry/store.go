@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -394,14 +395,6 @@ func (s *Store) closureKeys(c semantics.ConceptID) []semantics.ConceptID {
 	return append(keys, anc...)
 }
 
-// ClosureKeys returns the canonical capability closure of a concept —
-// the keys a service with that capability is indexed and epoch-tracked
-// under. Federation deltas carry these so receivers can filter
-// capability-keyed pulls without recomputing ancestry.
-func (s *Store) ClosureKeys(c semantics.ConceptID) []semantics.ConceptID {
-	return s.closureKeys(c)
-}
-
 // publish validates and stores a description for the tenant, replacing
 // any previous version.
 func (s *Store) publish(t TenantID, d Description) error {
@@ -566,6 +559,33 @@ func (s *Store) get(t TenantID, id ServiceID) (Description, bool) {
 		return Description{}, false
 	}
 	return ss.desc.clone(), true
+}
+
+// published sets dst[i] to whether the tenant has ids[i] published,
+// judged in one consistent view: the read locks of the IDs' home shards
+// are held together, taken in shard-index order (the order the
+// whole-store rebuild takes its write locks), so no Publish or Withdraw
+// lands between two checks. Each shard is locked once, however many IDs
+// it homes — RLock is not reentrant under a waiting writer.
+func (s *Store) published(t TenantID, ids []ServiceID, dst []bool) []bool {
+	var homesBuf [16]uint32
+	homes := homesBuf[:0]
+	for _, id := range ids {
+		homes = append(homes, s.shardOfID(t, id))
+	}
+	slices.Sort(homes)
+	homes = slices.Compact(homes)
+	for _, idx := range homes {
+		s.shards[idx].mu.RLock()
+	}
+	dst = dst[:0]
+	for _, id := range ids {
+		dst = append(dst, s.shards[s.shardOfID(t, id)].services[svcKey{t, id}] != nil)
+	}
+	for _, idx := range homes {
+		s.shards[idx].mu.RUnlock()
+	}
+	return dst
 }
 
 // all returns copies of every description of the tenant (unsorted; the

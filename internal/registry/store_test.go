@@ -210,6 +210,79 @@ func TestTenantChurnUnderConcurrentLookups(t *testing.T) {
 	}
 }
 
+// TestPublishedConsistentView pins Published: presence per ID for the
+// view's tenant only, and every ID judged at one instant. A churner
+// keeps at least one of two services, homed on different shards,
+// published at every moment; a reader that judged them one at a time
+// could see each at a moment it was withdrawn.
+func TestPublishedConsistentView(t *testing.T) {
+	store := NewStore(nil, StoreOptions{Shards: 8})
+	a, b := store.Tenant("env-a"), store.Tenant("env-b")
+	x := ServiceID("x-0")
+	var y ServiceID
+	for i := 1; y == ""; i++ {
+		if id := ServiceID(fmt.Sprintf("y-%d", i)); store.shardOfID("env-a", id) != store.shardOfID("env-a", x) {
+			y = id
+		}
+	}
+	for _, id := range []ServiceID{x, y} {
+		if err := a.Publish(bookService(string(id), 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Publish(bookService("b-only", 40)); err != nil {
+		t.Fatal(err)
+	}
+	got := a.Published([]ServiceID{x, "b-only", y, "missing"}, nil)
+	if fmt.Sprint(got) != "[true false true false]" {
+		t.Fatalf("Published = %v, want [true false true false]", got)
+	}
+
+	stop := make(chan struct{})
+	churned := make(chan struct{})
+	go func() {
+		defer close(churned)
+		for {
+			for _, step := range []struct {
+				id      ServiceID
+				publish bool
+			}{{y, true}, {x, false}, {x, true}, {y, false}} {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if step.publish {
+					if err := a.Publish(bookService(string(step.id), 40)); err != nil {
+						t.Error(err)
+						return
+					}
+				} else {
+					a.Withdraw(step.id)
+				}
+			}
+		}
+	}()
+	// Absent IDs between the two widen the window a one-at-a-time
+	// reader would leave between judging x and judging y.
+	ids := []ServiceID{x}
+	for i := 0; i < 64; i++ {
+		ids = append(ids, ServiceID(fmt.Sprintf("absent-%d", i)))
+	}
+	ids = append(ids, y)
+	var live []bool
+	for i := 0; i < 5000; i++ {
+		live = a.Published(ids, live)
+		if !live[0] && !live[len(ids)-1] {
+			close(stop)
+			<-churned
+			t.Fatalf("lookup %d saw neither %s nor %s published", i, x, y)
+		}
+	}
+	close(stop)
+	<-churned
+}
+
 // TestDifferentialEpochMonotonicityRaced churns two tenants from
 // multiple goroutines while samplers assert that every capability-epoch
 // position is non-decreasing across snapshots (cross-shard reads must
